@@ -114,8 +114,7 @@ pub struct Outcome {
 /// `epoch` tags the entry with the value of [`Cpu`]'s key epoch at fill time;
 /// `0` never matches a live epoch, so zeroed slots are empty. The epoch (not
 /// the key material) is what invalidates the whole cache on `set_keys` /
-/// `corrupt_keys` in O(1), including the case where the new `PaKeys` happens
-/// to carry the same generation counter as the old one.
+/// `corrupt_keys` in O(1).
 #[derive(Debug, Clone, Copy, Default)]
 struct PacSlot {
     epoch: u64,
@@ -1239,14 +1238,14 @@ mod tests {
     #[test]
     fn rekeying_also_invalidates_the_pac_memo() {
         // set_keys (legitimate re-key) must invalidate like corrupt_keys
-        // does — even when the replacement PaKeys carries the same
-        // generation counter as the old instance.
+        // does — even for a freshly generated PaKeys whose own state says
+        // nothing about the keys it replaced.
         let mut p = Program::new();
         p.function("main", vec![Paciasp, Svc(40), Retaa]);
         let mut cpu = Cpu::with_seed(p, 7);
         let out = cpu.run(100).unwrap();
         assert_eq!(out.status, RunStatus::Syscall(40));
-        cpu.set_keys(PaKeys::from_seed(999)); // same generation (0) as before
+        cpu.set_keys(PaKeys::from_seed(999));
         assert!(!cpu.keys_tainted());
         // Not a KeyFault (no taint), but it must *fail* — success would mean
         // the memo replayed a MAC from the previous key epoch.

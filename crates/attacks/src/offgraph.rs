@@ -30,10 +30,10 @@ const RET_B: u64 = 0x40_0400;
 /// An address that has never been a return address in the program.
 const RET_EVIL: u64 = 0x43_0000;
 
-fn acs_for(b: u32, masking: Masking, seed: u64) -> AuthenticatedCallStack {
+fn acs_for(b: u32, masking: Masking, keys: PaKeys) -> AuthenticatedCallStack {
     AuthenticatedCallStack::new(
         PointerAuth::new(layout_with_pac_bits(b)),
-        PaKeys::from_seed(seed),
+        keys,
         AcsConfig::default().masking(masking),
     )
 }
@@ -45,19 +45,17 @@ fn acs_for(b: u32, masking: Masking, seed: u64) -> AuthenticatedCallStack {
 /// substitutes it as the chain-head of `C`'s frame and lets `C` return.
 pub fn to_call_site(b: u32, masking: Masking, trials: u64, seed: u64) -> MonteCarlo {
     let (successes, stats) = exec::count_trials(seed ^ STREAM_CALL_SITE, trials, |_, rng| {
-        let process_seed = rng.gen();
-
         // Harvest a valid aret_B: drive main → B → (callee), spilling
         // aret_B when B calls onward.
-        let mut probe = acs_for(b, masking, process_seed);
+        let mut probe = acs_for(b, masking, PaKeys::from_seed(rng.gen()));
         probe.call(RET_MAIN);
         probe.call(RET_B);
         probe.call(0x40_0500); // B calls something; aret_B hits the stack
         let aret_b = probe.frames()[2].stored_chain;
 
-        // The victim path: main → X → C. The pair (ret_C, aret_B) has
-        // never been chained.
-        let mut acs = acs_for(b, masking, process_seed);
+        // The victim path: main → X → C, in the same process and so under
+        // the same keys. The pair (ret_C, aret_B) has never been chained.
+        let mut acs = acs_for(b, masking, probe.keys().clone());
         acs.call(RET_MAIN);
         acs.call(RET_X);
         acs.call(RET_C);
@@ -77,8 +75,7 @@ pub fn to_call_site(b: u32, masking: Masking, trials: u64, seed: u64) -> MonteCa
 pub fn to_arbitrary_address(b: u32, masking: Masking, trials: u64, seed: u64) -> MonteCarlo {
     let layout = layout_with_pac_bits(b);
     let (successes, stats) = exec::count_trials(seed ^ STREAM_ARBITRARY, trials, |_, rng| {
-        let process_seed = rng.gen();
-        let mut acs = acs_for(b, masking, process_seed);
+        let mut acs = acs_for(b, masking, PaKeys::from_seed(rng.gen()));
         acs.call(RET_MAIN);
         acs.call(RET_X);
         acs.call(RET_C);

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! `repro perf` accepts `--quick` (a fast smoke variant for CI) and
-//! `--out <file>` (where to write the bench JSON; default `BENCH_pr4.json`).
+//! `--out <file>` (where to write the bench JSON; default `BENCH_pr7.json`).
 //! It re-executes this binary with `PACSTACK_REFERENCE_PAC=1` to time the
 //! pre-optimisation pipeline and byte-compares the two arms' stdout, and
 //! with `PACSTACK_TELEMETRY=1` to verify the telemetry sink is free when
@@ -252,7 +252,7 @@ fn main() -> ExitCode {
             }
         }
         "perf" => {
-            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr4.json"));
+            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr7.json"));
             if let Err(e) = perf::run(quick, &out) {
                 eprintln!("perf harness failed: {e}");
                 return ExitCode::FAILURE;

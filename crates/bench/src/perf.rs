@@ -2,16 +2,20 @@
 //!
 //! Three layers of the pipeline are measured, each against the path it
 //! replaced, and the results are written both as a human-readable table on
-//! stdout and as machine-readable JSON (default `BENCH_pr3.json`) so the
+//! stdout and as machine-readable JSON (default `BENCH_pr7.json`) so the
 //! repository accumulates a performance trajectory over time:
 //!
 //! * **`qarma_encrypt`** — raw QARMA-64 throughput. *Before* re-derives the
 //!   key schedule on every call and runs the cell-based reference data path
 //!   (the original cost profile of `Qarma64::recommended` per call); *after*
-//!   encrypts through a prebuilt instance on the packed-nibble SWAR path.
+//!   encrypts through a prebuilt instance on the dispatched fast path (SSSE3
+//!   where the CPU has it, the packed-nibble SWAR path elsewhere).
 //! * **`pac_compute`** — [`PointerAuth::compute_pac`] throughput. *Before*
 //!   is [`PointerAuth::compute_pac_reference`] (schedule re-derived per MAC);
 //!   *after* uses the per-key cached cipher inside [`PaKeys`].
+//! * **`pakeys_first_pac`** — what each Table 1 trial pays to start a
+//!   process: [`PaKeys::from_seed`] plus the first IA MAC, which schedules
+//!   the IA cipher. After-only; no replaced path runs alongside it.
 //! * **`pac_insns`** — retired PAC instructions per second on the full CPU
 //!   model running a sign/authenticate loop, with the direct-mapped PAC memo
 //!   cache disabled (*before*) and enabled (*after*). Both arms already use
@@ -104,7 +108,8 @@ fn measure_rate<F: FnMut(u64) -> u64>(batch: u64, target_ms: u128, mut f: F) -> 
 }
 
 /// QARMA-64 throughput: per-call schedule derivation + cell path (the seed's
-/// cost profile) vs a prebuilt schedule on the packed SWAR path.
+/// cost profile) vs a prebuilt schedule on the path `encrypt` dispatches to
+/// (SSSE3 on x86-64 CPUs that have it, packed SWAR otherwise).
 fn bench_qarma(quick: bool) -> PerfRecord {
     let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
     let cipher = Qarma64::recommended(key);
@@ -145,6 +150,23 @@ fn bench_pac_compute(quick: bool) -> PerfRecord {
     PerfRecord {
         bench: "pac_compute".into(),
         before: Some(before),
+        after,
+        unit: "ops_per_s",
+        jobs: 1,
+    }
+}
+
+/// Fresh keys plus their first IA MAC per operation — key generation and
+/// the lazy IA cipher schedule, the set-up cost of one Table 1 trial.
+fn bench_pakeys_first_pac(quick: bool) -> PerfRecord {
+    let pa = PointerAuth::new(VaLayout::default());
+    let after = measure_rate(512, target_ms(quick), |i| {
+        let keys = PaKeys::from_seed(i);
+        pa.compute_pac(&keys, PaKey::Ia, 0x40_1000, i)
+    });
+    PerfRecord {
+        bench: "pakeys_first_pac".into(),
+        before: None,
         after,
         unit: "ops_per_s",
         jobs: 1,
@@ -395,6 +417,7 @@ pub fn run(quick: bool, out: &Path) -> Result<(), String> {
     let mut records = vec![
         bench_qarma(quick),
         bench_pac_compute(quick),
+        bench_pakeys_first_pac(quick),
         bench_pac_insns(quick),
     ];
     if quick {

@@ -359,23 +359,37 @@ mod tests {
         assert_ne!(mac, pa.pacga(&keys, 0x1235, 0x5678));
     }
 
-    #[test]
-    fn cached_cipher_pac_matches_reference_pac() {
-        // The cached-schedule fast path and the rebuild-per-call reference
-        // path are the same MAC — the invariant the whole caching layer
-        // rests on.
-        let (pa, keys) = unit();
-        for key in [PaKey::Ia, PaKey::Ib, PaKey::Da, PaKey::Db, PaKey::Ga] {
+    fn assert_pac_matches_reference(pa: &PointerAuth, keys: &PaKeys, what: &str) {
+        for key in PaKey::ALL {
             for i in 0..32u64 {
                 let ptr = PTR.wrapping_add(i * 40);
                 let modifier = i.wrapping_mul(0x9E37_79B9);
                 assert_eq!(
-                    pa.compute_pac(&keys, key, ptr, modifier),
-                    pa.compute_pac_reference(&keys, key, ptr, modifier),
-                    "{key} diverged at i={i}"
+                    pa.compute_pac(keys, key, ptr, modifier),
+                    pa.compute_pac_reference(keys, key, ptr, modifier),
+                    "{key} diverged at i={i} on {what}"
                 );
             }
         }
+    }
+
+    #[test]
+    fn cached_cipher_pac_matches_reference_pac() {
+        // The cached-schedule fast path and the rebuild-per-call reference
+        // path are the same MAC — the invariant the whole caching layer
+        // rests on — whatever state the lazy cipher slots are in.
+        let (pa, keys) = unit();
+        let cloned_before_use = keys.clone();
+        assert_pac_matches_reference(&pa, &keys, "fresh keys");
+        assert_pac_matches_reference(&pa, &cloned_before_use, "a clone taken before use");
+        let mut rekeyed = keys.clone();
+        assert_pac_matches_reference(&pa, &rekeyed, "a clone taken after use");
+        for (n, key) in PaKey::ALL.into_iter().enumerate() {
+            let n = n as u64;
+            rekeyed.set_key(key, pacstack_qarma::Key128::new(0xC0DE ^ n, 0xF00D ^ n));
+        }
+        assert_pac_matches_reference(&pa, &rekeyed, "re-keyed keys");
+        assert_pac_matches_reference(&pa, &rekeyed.clone(), "a clone of re-keyed keys");
     }
 
     #[test]

@@ -11,6 +11,7 @@ use pacstack_telemetry as telemetry;
 use rand::Rng;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// Selects one of the five architectural PA keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,20 +78,20 @@ impl fmt::Display for PaKey {
 #[derive(Debug, Clone)]
 pub struct PaKeys {
     keys: [Key128; 5],
-    /// One fully scheduled QARMA7-64-σ1 instance per key register, rebuilt
-    /// eagerly on every key write so `pac*`/`aut*`/`pacga` never re-derive a
-    /// key schedule on the hot path. Corrupted keys rebuild through the same
-    /// route — a glitched register yields a real (wrong) cipher, which is
-    /// what preserves `Fault::KeyFault` attribution downstream.
-    ciphers: [Qarma64; 5],
-    /// Bumped on every key write; PAC memo caches key their entries on this
-    /// so stale MACs can never survive a re-key or a key-corruption fault.
-    generation: u64,
+    /// One QARMA7-64-σ1 instance per key register, scheduled (encryption
+    /// direction only) the first time [`PaKeys::cipher`] asks for it and
+    /// emptied by every write to that register. Most processes only ever
+    /// use IA (plus GA for `pacga`), so the other slots are never built.
+    /// `OnceLock` keeps `&PaKeys` shareable across worker threads, and a
+    /// clone carries whatever slots are already filled. Corrupted keys go
+    /// through the same route — a glitched register yields a real (wrong)
+    /// cipher, which is what preserves `Fault::KeyFault` attribution
+    /// downstream.
+    ciphers: [OnceLock<Qarma64>; 5],
 }
 
 // Identity is the architectural register contents alone: the ciphers are a
-// pure function of the keys, and the generation counter is cache-coherency
-// metadata, not key material.
+// pure function of the keys, filled in lazily.
 impl PartialEq for PaKeys {
     fn eq(&self, other: &Self) -> bool {
         self.keys == other.keys
@@ -107,7 +108,11 @@ impl Hash for PaKeys {
 
 impl PaKeys {
     /// Generates five fresh keys from the given randomness source, as the
-    /// kernel does on `exec`.
+    /// kernel does on `exec`. No cipher is scheduled yet.
+    ///
+    /// Telemetry counts this as one keygen and five cipher rebuilds:
+    /// `pauth_cipher_rebuilds_total` counts cipher slots (re-)keyed, not
+    /// schedules built, so it does not depend on which keys are used.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
         let mut keys = [Key128::default(); 5];
         for key in &mut keys {
@@ -118,9 +123,8 @@ impl PaKeys {
             telemetry::counter("pauth_cipher_rebuilds_total", 5);
         }
         Self {
-            ciphers: keys.map(Qarma64::recommended),
             keys,
-            generation: 0,
+            ciphers: Default::default(),
         }
     }
 
@@ -137,30 +141,35 @@ impl PaKeys {
         self.keys[key.index()]
     }
 
-    /// Replaces one key register (kernel-only operation in the model),
-    /// rebuilding its scheduled cipher and bumping the generation counter.
+    /// Replaces one key register (kernel-only operation in the model) and
+    /// empties its cipher slot; the next [`PaKeys::cipher`] call for that
+    /// register schedules the new key.
     pub fn set_key(&mut self, key: PaKey, value: Key128) {
         if telemetry::enabled() {
             telemetry::counter("pauth_key_writes_total", 1);
             telemetry::counter("pauth_cipher_rebuilds_total", 1);
         }
         self.keys[key.index()] = value;
-        self.ciphers[key.index()] = Qarma64::recommended(value);
-        self.generation = self.generation.wrapping_add(1);
+        self.ciphers[key.index()].take();
     }
 
     /// The scheduled cipher for one key register — always coherent with
-    /// [`PaKeys::key`], because every key write rebuilds it.
+    /// [`PaKeys::key`]: it is scheduled from the current key on first use,
+    /// and every key write empties the slot.
+    #[inline]
     pub fn cipher(&self, key: PaKey) -> &Qarma64 {
-        &self.ciphers[key.index()]
+        match self.ciphers[key.index()].get() {
+            Some(cipher) => cipher,
+            None => self.schedule(key),
+        }
     }
 
-    /// Monotonic count of key writes to this register file. Two values from
-    /// the *same* `PaKeys` differ iff a key was written in between; caches
-    /// combining it with their own instance tracking get precise
-    /// invalidation.
-    pub fn generation(&self) -> u64 {
-        self.generation
+    /// The first-use path of [`PaKeys::cipher`], kept out of line so the
+    /// hot path stays one load and one branch.
+    #[cold]
+    #[inline(never)]
+    fn schedule(&self, key: PaKey) -> &Qarma64 {
+        self.ciphers[key.index()].get_or_init(|| Qarma64::recommended(self.key(key)))
     }
 }
 
@@ -195,33 +204,55 @@ mod tests {
         assert_eq!(keys.key(PaKey::Ib), old_ib);
     }
 
-    #[test]
-    fn cached_ciphers_stay_coherent_with_keys() {
-        let mut keys = PaKeys::from_seed(3);
+    fn assert_coherent(keys: &PaKeys, what: &str) {
         for key in PaKey::ALL {
-            assert_eq!(keys.cipher(key).key(), keys.key(key), "{key}");
+            assert_eq!(
+                *keys.cipher(key),
+                Qarma64::recommended(keys.key(key)),
+                "{key} incoherent on {what}"
+            );
         }
-        keys.set_key(PaKey::Da, Key128::new(0xAA, 0xBB));
-        assert_eq!(keys.cipher(PaKey::Da).key(), Key128::new(0xAA, 0xBB));
-        assert_eq!(keys.cipher(PaKey::Db).key(), keys.key(PaKey::Db));
     }
 
     #[test]
-    fn generation_counts_key_writes() {
-        let mut keys = PaKeys::from_seed(3);
-        let g0 = keys.generation();
-        keys.set_key(PaKey::Ia, Key128::new(1, 2));
-        assert_ne!(keys.generation(), g0);
-        let g1 = keys.generation();
-        keys.set_key(PaKey::Ia, Key128::new(1, 2)); // same value still bumps
-        assert_ne!(keys.generation(), g1);
+    fn lazy_ciphers_stay_coherent_with_keys() {
+        let fresh = PaKeys::from_seed(3);
+        let cloned_before_use = fresh.clone();
+        assert_coherent(&fresh, "fresh keys");
+        assert_coherent(&cloned_before_use, "a clone taken before first use");
+        let cloned_after_use = fresh.clone();
+        assert_coherent(&cloned_after_use, "a clone taken after first use");
+
+        let mut rekeyed = fresh.clone();
+        rekeyed.set_key(PaKey::Da, Key128::new(0xAA, 0xBB));
+        assert_eq!(rekeyed.cipher(PaKey::Da).key(), Key128::new(0xAA, 0xBB));
+        assert_coherent(&rekeyed, "set_key on a scheduled slot");
+        // The write re-keyed only the copy it was made on.
+        assert_eq!(fresh.cipher(PaKey::Da).key(), fresh.key(PaKey::Da));
     }
 
     #[test]
-    fn equality_ignores_generation_metadata() {
+    fn concurrent_first_use_agrees() {
+        let keys = PaKeys::from_seed(17);
+        let ciphers: Vec<Vec<Qarma64>> = std::thread::scope(|scope| {
+            let workers: Vec<_> = (0..4)
+                .map(|_| scope.spawn(|| PaKey::ALL.map(|key| *keys.cipher(key)).to_vec()))
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        for per_thread in &ciphers {
+            assert_eq!(per_thread, &ciphers[0]);
+        }
+        assert_coherent(&keys, "keys first used from four threads");
+    }
+
+    #[test]
+    fn equality_ignores_cipher_slots() {
         let mut a = PaKeys::from_seed(5);
         let b = PaKeys::from_seed(5);
-        // Rewrite an identical value: generation moves, identity must not.
+        // Schedule a's ciphers and rewrite an identical value: the slots
+        // change state, identity must not.
+        assert_coherent(&a, "a");
         let ia = a.key(PaKey::Ia);
         a.set_key(PaKey::Ia, ia);
         assert_eq!(a, b);

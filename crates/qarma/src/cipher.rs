@@ -1,8 +1,10 @@
 //! The QARMA-64 cipher proper: whitened forward rounds, a central reflector,
 //! and backward rounds, all parameterised by S-box choice and round count.
 //!
-//! [`Qarma64::encrypt`]/[`Qarma64::decrypt`] run the packed-nibble fast path
-//! over a key schedule precomputed in [`Qarma64::with_key`]; the original
+//! [`Qarma64::encrypt`] runs the packed-nibble fast path over the
+//! encryption schedule precomputed in [`Qarma64::with_key`], and
+//! [`Qarma64::decrypt`] runs it over a decryption schedule derived per call
+//! (no hot path decrypts); the original
 //! cell-based data path survives as [`Qarma64::encrypt_reference`]/
 //! [`Qarma64::decrypt_reference`] (see the [`crate::reference`] module) and
 //! the two are pinned against each other by a differential proptest suite.
@@ -12,7 +14,7 @@ use crate::packed::{
     mt, reflector, sub_bytes, tinv_m, tweak_fwd, SIGMA0_BYTES, SIGMA1_BYTES, SIGMA2_BYTES,
     SIGMA2_INV_BYTES,
 };
-use crate::schedule::{DirSchedule, Schedule};
+use crate::schedule::DirSchedule;
 use crate::{reference, Key128};
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -78,9 +80,12 @@ impl fmt::Display for Sigma {
 
 /// A QARMA-64 instance: a 128-bit key, an S-box choice and `r` forward rounds.
 ///
-/// Construction precomputes the full two-direction key schedule (`w1`, the
-/// per-round tweakeys, the reflector keys), so `encrypt`/`decrypt` touch no
+/// Construction precomputes the encryption-direction key schedule (`w1`,
+/// the per-round tweakeys, the reflector key), so `encrypt` touches no
 /// key-derivation code — build an instance once per key and reuse it.
+/// `decrypt` derives the decryption schedule on every call: pointer
+/// authentication only ever encrypts, so that direction is not worth the
+/// space or the set-up time.
 ///
 /// The paper's recommended parameterisations are `r = 5` with σ0, `r = 7`
 /// with σ1, and `r = 11` with σ2. [`Qarma64::recommended`] builds the σ1/r=7
@@ -100,7 +105,8 @@ pub struct Qarma64 {
     key: Key128,
     sigma: Sigma,
     rounds: usize,
-    schedule: Schedule,
+    /// Encryption-direction key material.
+    schedule: DirSchedule,
 }
 
 // The schedule is a pure function of (key, sigma, rounds), so identity is
@@ -134,7 +140,7 @@ impl Qarma64 {
     }
 
     /// Creates a cipher from a [`Key128`], an S-box and a round count,
-    /// precomputing the key schedule for both directions.
+    /// precomputing the encryption key schedule.
     ///
     /// # Panics
     ///
@@ -148,7 +154,7 @@ impl Qarma64 {
             key,
             sigma,
             rounds,
-            schedule: Schedule::new(key),
+            schedule: DirSchedule::encrypt(key),
         }
     }
 
@@ -226,34 +232,25 @@ impl Qarma64 {
     pub fn encrypt(&self, plaintext: u64, tweak: u64) -> u64 {
         #[cfg(target_arch = "x86_64")]
         if crate::simd::available() {
-            return crate::simd::crypt(
-                plaintext,
-                tweak,
-                &self.schedule.enc,
-                self.sigma,
-                self.rounds,
-            );
+            return crate::simd::crypt(plaintext, tweak, &self.schedule, self.sigma, self.rounds);
         }
-        self.crypt_packed(plaintext, tweak, &self.schedule.enc)
+        self.crypt_packed(plaintext, tweak, &self.schedule)
     }
 
     /// Decrypts one 64-bit block under the given 64-bit tweak.
     ///
     /// QARMA's reflector structure makes decryption the same circuit as
     /// encryption under a transformed key schedule: the whitening keys swap
-    /// roles, α is folded into the core key, and the reflector key is reused.
+    /// roles, α is folded into the core key, and the reflector is keyed
+    /// with `Q·k0`. That schedule is derived on every call, so decrypting in
+    /// bulk costs a key derivation per block.
     pub fn decrypt(&self, ciphertext: u64, tweak: u64) -> u64 {
+        let schedule = DirSchedule::decrypt(self.key);
         #[cfg(target_arch = "x86_64")]
         if crate::simd::available() {
-            return crate::simd::crypt(
-                ciphertext,
-                tweak,
-                &self.schedule.dec,
-                self.sigma,
-                self.rounds,
-            );
+            return crate::simd::crypt(ciphertext, tweak, &schedule, self.sigma, self.rounds);
         }
-        self.crypt_packed(ciphertext, tweak, &self.schedule.dec)
+        self.crypt_packed(ciphertext, tweak, &schedule)
     }
 
     /// Encrypts through the cell-based reference path (the differential
@@ -347,16 +344,17 @@ mod tests {
         for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
             for rounds in 1..=8 {
                 let cipher = Qarma64::new(W0, K0, sigma, rounds);
+                let dec = DirSchedule::decrypt(cipher.key);
                 for i in 0..16u64 {
                     let p = PLAINTEXT.wrapping_mul(i | 1);
                     let t = TWEAK.wrapping_add(i);
                     assert_eq!(
-                        cipher.crypt_packed(p, t, &cipher.schedule.enc),
+                        cipher.crypt_packed(p, t, &cipher.schedule),
                         cipher.encrypt(p, t),
                         "enc SWAR diverged for {sigma} r={rounds} i={i}"
                     );
                     assert_eq!(
-                        cipher.crypt_packed(p, t, &cipher.schedule.dec),
+                        cipher.crypt_packed(p, t, &dec),
                         cipher.decrypt(p, t),
                         "dec SWAR diverged for {sigma} r={rounds} i={i}"
                     );

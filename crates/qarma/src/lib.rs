@@ -29,6 +29,7 @@
 // Every other module is unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod cells;
 mod cipher;

@@ -2,8 +2,10 @@
 //!
 //! The reference data path re-derives `w1`, the per-round tweakeys and the
 //! reflector key on every call. All of that material is a pure function of
-//! the 128-bit key, so [`Schedule::new`] derives it once when the cipher is
-//! built and the hot path only XORs precomputed words.
+//! the 128-bit key, so [`DirSchedule::encrypt`] derives it once when the
+//! cipher is built and the hot path only XORs precomputed words. Only the
+//! encryption direction is kept: pointer authentication never decrypts, so
+//! [`DirSchedule::decrypt`] is derived per call by `Qarma64::decrypt`.
 
 use crate::cells::{from_cells, mix_columns, permute, to_cells};
 use crate::constants::{ALPHA, ROUND_CONSTANTS, TAU_INV};
@@ -23,6 +25,11 @@ pub(crate) fn spread_cells(x: u64) -> Spread {
         halves[d / 8] |= ((x >> (60 - 4 * d)) & 0xF) << (8 * (d % 8));
     }
     halves
+}
+
+/// The derived whitening key `w1 = (w0 >>> 1) ⊕ (w0 >> 63)`.
+fn w1_of(w0: u64) -> u64 {
+    w0.rotate_right(1) ^ (w0 >> 63)
 }
 
 /// Key material for one direction of the shared data path.
@@ -62,6 +69,22 @@ pub(crate) struct DirSchedule {
 }
 
 impl DirSchedule {
+    /// The encryption-direction schedule of `key`.
+    pub fn encrypt(key: Key128) -> Self {
+        let w0 = key.w0();
+        let k0 = key.k0();
+        Self::new(w0, w1_of(w0), k0, k0)
+    }
+
+    /// The decryption-direction schedule of `key`: whitening keys swapped,
+    /// α folded into the core key, reflector keyed with `Q·k0`.
+    pub fn decrypt(key: Key128) -> Self {
+        let w0 = key.w0();
+        let k0 = key.k0();
+        let q_k0 = from_cells(&mix_columns(&to_cells(k0)));
+        Self::new(w1_of(w0), w0, k0 ^ ALPHA, q_k0)
+    }
+
     fn new(w_in: u64, w_out: u64, k: u64, k1: u64) -> Self {
         let mut fwd_key = [0u64; 8];
         let mut bwd_key = [0u64; 8];
@@ -90,30 +113,6 @@ impl DirSchedule {
     }
 }
 
-/// Both directions' schedules, derived once per key in `Qarma64::with_key`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) struct Schedule {
-    /// Encryption-direction key material.
-    pub enc: DirSchedule,
-    /// Decryption-direction key material: whitening keys swapped, α folded
-    /// into the core key, reflector keyed with `Q·k0`.
-    pub dec: DirSchedule,
-}
-
-impl Schedule {
-    /// Derives the full two-direction schedule from a 128-bit key.
-    pub fn new(key: Key128) -> Self {
-        let w0 = key.w0();
-        let w1 = w0.rotate_right(1) ^ (w0 >> 63);
-        let k0 = key.k0();
-        let q_k0 = from_cells(&mix_columns(&to_cells(k0)));
-        Self {
-            enc: DirSchedule::new(w0, w1, k0, k0),
-            dec: DirSchedule::new(w1, w0, k0 ^ ALPHA, q_k0),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,34 +120,34 @@ mod tests {
     #[test]
     fn schedule_is_deterministic_in_the_key() {
         let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
-        assert_eq!(Schedule::new(key), Schedule::new(key));
+        assert_eq!(DirSchedule::encrypt(key), DirSchedule::encrypt(key));
         assert_ne!(
-            Schedule::new(key),
-            Schedule::new(Key128::new(0x84be85ce9804e94b ^ 1, 0xec2802d4e0a488e9))
+            DirSchedule::encrypt(key),
+            DirSchedule::encrypt(Key128::new(0x84be85ce9804e94b ^ 1, 0xec2802d4e0a488e9))
         );
     }
 
     #[test]
     fn derived_whitening_matches_reference_formula() {
         let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
-        let s = Schedule::new(key);
+        let (enc, dec) = (DirSchedule::encrypt(key), DirSchedule::decrypt(key));
         let w0 = key.w0();
         let w1 = w0.rotate_right(1) ^ (w0 >> 63);
-        assert_eq!(s.enc.w_in, w0);
-        assert_eq!(s.enc.w_out, w1);
-        assert_eq!(s.dec.w_in, w1);
-        assert_eq!(s.dec.w_out, w0);
+        assert_eq!(enc.w_in, w0);
+        assert_eq!(enc.w_out, w1);
+        assert_eq!(dec.w_in, w1);
+        assert_eq!(dec.w_out, w0);
     }
 
     #[test]
     fn round_keys_fold_constants_and_alpha() {
         let key = Key128::new(7, 9);
-        let s = Schedule::new(key);
+        let (enc, dec) = (DirSchedule::encrypt(key), DirSchedule::decrypt(key));
         for (i, c) in ROUND_CONSTANTS.iter().enumerate() {
-            assert_eq!(s.enc.fwd_key[i], key.k0() ^ c);
-            assert_eq!(s.enc.bwd_key[i], key.k0() ^ c ^ ALPHA);
-            assert_eq!(s.dec.fwd_key[i], key.k0() ^ ALPHA ^ c);
-            assert_eq!(s.dec.bwd_key[i], key.k0() ^ c);
+            assert_eq!(enc.fwd_key[i], key.k0() ^ c);
+            assert_eq!(enc.bwd_key[i], key.k0() ^ c ^ ALPHA);
+            assert_eq!(dec.fwd_key[i], key.k0() ^ ALPHA ^ c);
+            assert_eq!(dec.bwd_key[i], key.k0() ^ c);
         }
     }
 }
