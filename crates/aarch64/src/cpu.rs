@@ -187,9 +187,8 @@ pub struct Cpu {
     /// write — legitimate (`set_keys`) or glitched (`corrupt_keys`) — so a
     /// key change can never be answered from a stale [`PacSlot`].
     key_epoch: u64,
-    /// Whether the PAC memo cache is consulted at all. Disabled when
-    /// `PACSTACK_REFERENCE_PAC` pins the process to the pre-optimisation
-    /// pipeline, and togglable for differential testing and benchmarking.
+    /// Whether the PAC memo cache is consulted at all. On by default;
+    /// [`Cpu::set_pac_memo`] turns it off for differential testing.
     pac_memo: bool,
     /// `(hits, misses)` on the PAC memo cache, for the perf harness.
     pac_cache_stats: (u64, u64),
@@ -362,7 +361,7 @@ impl Cpu {
             keys_tainted: false,
             pac_cache: Box::new([PacSlot::default(); PAC_CACHE_SLOTS]),
             key_epoch: 1,
-            pac_memo: !pacstack_pauth::reference_pac_forced(),
+            pac_memo: true,
             pac_cache_stats: (0, 0),
             cost,
             cycles: 0,

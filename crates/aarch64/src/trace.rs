@@ -1,12 +1,11 @@
 //! Execution tracing and disassembly — the debugging surface a real
 //! simulator ships with.
 //!
-//! The ring buffer itself now lives in `pacstack_telemetry` as the generic
-//! [`Ring`]; this module keeps the CPU-specific entry type, the
-//! disassembler, and a deprecated `Trace` alias for source compatibility.
+//! The ring buffer lives in `pacstack_telemetry` as the generic
+//! [`Ring`](pacstack_telemetry::Ring); this module keeps the CPU-specific
+//! entry type and the disassembler.
 
 use crate::{Cpu, Instruction};
-use pacstack_telemetry::Ring;
 use std::fmt;
 
 /// One retired instruction in an execution trace.
@@ -35,24 +34,6 @@ impl fmt::Display for TraceEntry {
     }
 }
 
-/// A bounded execution trace: keeps the most recent entries.
-///
-/// # Examples
-///
-/// ```
-/// # #![allow(deprecated)]
-/// use pacstack_aarch64::trace::Trace;
-///
-/// let trace = Trace::new(128);
-/// assert_eq!(trace.capacity(), 128);
-/// assert!(trace.entries().is_empty());
-/// ```
-#[deprecated(
-    since = "0.1.0",
-    note = "the ring buffer moved to the telemetry subsystem; use `pacstack_telemetry::Ring<TraceEntry>`"
-)]
-pub type Trace = Ring<TraceEntry>;
-
 /// Disassembles the loaded image around an address: `context` instructions
 /// before and after, with a marker at `addr`.
 pub fn disassemble_around(cpu: &Cpu, addr: u64, context: u64) -> String {
@@ -78,25 +59,6 @@ mod tests {
     use super::*;
     use crate::Instruction::*;
     use crate::{Program, Reg};
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_trace_alias_still_works() {
-        // The pre-migration API: `Trace::new`, `record`, `entries`,
-        // `dropped` — pinned so downstream users of the alias keep
-        // compiling against the telemetry-backed ring.
-        let mut trace = Trace::new(2);
-        for i in 0..4u64 {
-            trace.record(TraceEntry {
-                pc: i * 4,
-                insn: Nop,
-                cycles: i,
-            });
-        }
-        assert_eq!(trace.entries().len(), 2);
-        assert_eq!(trace.dropped(), 2);
-        assert_eq!(trace.entries()[0].pc, 8);
-    }
 
     #[test]
     fn disassembly_marks_the_focus_instruction() {

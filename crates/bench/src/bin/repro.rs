@@ -16,16 +16,15 @@
 //! repro reuse      §6.1      interchangeable signed pointers per scheme
 //! repro faults     §3/§6.2   fault-injection coverage matrix + supervisor economics
 //! repro all        everything above
-//! repro perf       before/after PAC fast-path benchmarks (not part of `all`)
+//! repro perf       per-layer and end-to-end timings (not part of `all`)
 //! repro trace      deterministic telemetry capture + export (not part of `all`)
 //! ```
 //!
 //! `repro perf` accepts `--quick` (a fast smoke variant for CI) and
-//! `--out <file>` (where to write the bench JSON; default `BENCH_pr7.json`).
-//! It re-executes this binary with `PACSTACK_REFERENCE_PAC=1` to time the
-//! pre-optimisation pipeline and byte-compares the two arms' stdout, and
-//! with `PACSTACK_TELEMETRY=1` to verify the telemetry sink is free when
-//! disabled and invisible when enabled.
+//! `--out <file>` (where to write the bench JSON; default `BENCH_pr8.json`).
+//! Each row's "before" is its "after" in the newest committed
+//! `BENCH_pr<N>.json`. It re-executes this binary to time whole runs, with
+//! and without `PACSTACK_TELEMETRY=1`, and byte-compares their stdout.
 //!
 //! `repro trace` enables the telemetry sink, drives a fixed scenario
 //! through every instrumented layer, prints a summary plus the Prometheus
@@ -252,7 +251,7 @@ fn main() -> ExitCode {
             }
         }
         "perf" => {
-            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr7.json"));
+            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr8.json"));
             if let Err(e) = perf::run(quick, &out) {
                 eprintln!("perf harness failed: {e}");
                 return ExitCode::FAILURE;

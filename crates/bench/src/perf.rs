@@ -1,57 +1,52 @@
-//! The `repro perf` harness: before/after measurements of the PAC fast path.
+//! The `repro perf` harness: one measurement per row of the current code,
+//! compared with the newest committed bench file.
 //!
-//! Three layers of the pipeline are measured, each against the path it
-//! replaced, and the results are written both as a human-readable table on
-//! stdout and as machine-readable JSON (default `BENCH_pr7.json`) so the
-//! repository accumulates a performance trajectory over time:
+//! Each row is measured once, printed as a human-readable table on stdout
+//! and written as machine-readable JSON (default `BENCH_pr8.json`). A
+//! row's *before* is that row's *after* in the newest `BENCH_pr<N>.json`
+//! of the working directory (highest `N`, the `--out` file excluded), so
+//! the committed files form a performance trajectory:
 //!
-//! * **`qarma_encrypt`** — raw QARMA-64 throughput. *Before* re-derives the
-//!   key schedule on every call and runs the cell-based reference data path
-//!   (the original cost profile of `Qarma64::recommended` per call); *after*
-//!   encrypts through a prebuilt instance on the dispatched fast path (SSSE3
-//!   where the CPU has it, the packed-nibble SWAR path elsewhere).
-//! * **`pac_compute`** — [`PointerAuth::compute_pac`] throughput. *Before*
-//!   is [`PointerAuth::compute_pac_reference`] (schedule re-derived per MAC);
-//!   *after* uses the per-key cached cipher inside [`PaKeys`].
+//! * **`qarma64_encrypt`** — QARMA-64 encryptions per second through a
+//!   prebuilt instance on the dispatched fast path (SSSE3 where the CPU has
+//!   it, the packed-nibble SWAR path elsewhere).
+//! * **`pac_compute`** — [`PointerAuth::compute_pac`] throughput through the
+//!   per-key cached cipher inside [`PaKeys`].
 //! * **`pakeys_first_pac`** — what each Table 1 trial pays to start a
 //!   process: [`PaKeys::from_seed`] plus the first IA MAC, which schedules
-//!   the IA cipher. After-only; no replaced path runs alongside it.
+//!   the IA cipher.
 //! * **`pac_insns`** — retired PAC instructions per second on the full CPU
-//!   model running a sign/authenticate loop, with the direct-mapped PAC memo
-//!   cache disabled (*before*) and enabled (*after*). Both arms already use
-//!   the cached packed cipher, so this isolates the memo layer alone.
-//! * **`repro_* wall time`** — end-to-end wall time of the experiment
-//!   driver, re-executed as a child process with `PACSTACK_REFERENCE_PAC=1`
-//!   (*before*: reference cipher, no caches) and without it (*after*: the
-//!   full fast path). The two arms' stdout is byte-compared and any
-//!   difference is a hard error — the optimisation gate is that caching
-//!   changes no numbers.
+//!   model running a sign/authenticate loop with the PAC memo cache on.
+//! * **`repro_<target>_wall_jobs1`**, **`repro_<target>_wall_jobsauto`** —
+//!   end-to-end wall time of the experiment driver, re-executed as a child
+//!   process with the telemetry sink off (`all`, or `table1` with
+//!   `--quick`; the auto-jobs row only in full mode). The two runs' stdout
+//!   is byte-compared.
+//! * **`repro_<target>_wall_telemetry_on`** — the same `--jobs 1` run with
+//!   the sink enabled (`PACSTACK_TELEMETRY=1`); its stdout must equal the
+//!   sink-off run's byte for byte.
 //!
-//! * **`repro_* wall telemetry`** — the zero-overhead-when-disabled gate
-//!   for the telemetry subsystem: the same end-to-end run with the sink
-//!   enabled (`PACSTACK_TELEMETRY=1`, *before*) and disabled (*after*),
-//!   byte-comparing stdout, plus a coarse cross-run comparison against the
-//!   committed `BENCH_pr3.json` after-arm.
+//! The sink-off `--jobs 1` row is also gated against its baseline: more
+//! than [`CROSS_RUN_NOISE`] times slower is an error.
 //!
-//! All timings use a monotonic clock on the current machine; before/after
-//! pairs in one JSON file are always from the same run.
+//! All timings use a monotonic clock on the current machine.
 
 use pacstack_aarch64::program::Op;
 use pacstack_aarch64::{Cpu, Instruction, Program, Reg};
 use pacstack_pauth::{PaKey, PaKeys, PointerAuth, VaLayout};
-use pacstack_qarma::{reference, Key128, Qarma64, Sigma};
+use pacstack_qarma::{Key128, Qarma64};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// One before/after measurement, serialised verbatim into the bench JSON.
+/// One row of the bench JSON, serialised verbatim.
 #[derive(Debug, Clone)]
 pub struct PerfRecord {
     /// Benchmark name (stable across PRs, so trajectories can be compared).
     pub bench: String,
-    /// The replaced path's score, when it was measured in this run.
+    /// The row's `after` in the baseline bench file, when it has the row.
     pub before: Option<f64>,
     /// The current path's score.
     pub after: f64,
@@ -73,7 +68,7 @@ impl PerfRecord {
     }
 }
 
-/// Milliseconds of sustained measurement per arm.
+/// Milliseconds of sustained measurement per row.
 fn target_ms(quick: bool) -> u128 {
     if quick {
         40
@@ -107,49 +102,32 @@ fn measure_rate<F: FnMut(u64) -> u64>(batch: u64, target_ms: u128, mut f: F) -> 
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
-/// QARMA-64 throughput: per-call schedule derivation + cell path (the seed's
-/// cost profile) vs a prebuilt schedule on the path `encrypt` dispatches to
-/// (SSSE3 on x86-64 CPUs that have it, packed SWAR otherwise).
+/// QARMA-64 throughput through a prebuilt schedule on the path `encrypt`
+/// dispatches to (SSSE3 on x86-64 CPUs that have it, packed SWAR otherwise).
 fn bench_qarma(quick: bool) -> PerfRecord {
-    let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
-    let cipher = Qarma64::recommended(key);
-    let tms = target_ms(quick);
-    let before = measure_rate(512, tms, |i| {
-        reference::encrypt(
-            key,
-            Sigma::Sigma1,
-            7,
-            0xfb623599da6e8127 ^ i,
-            0x477d469dec0b8762,
-        )
-    });
-    let after = measure_rate(4096, tms, |i| {
+    let cipher = Qarma64::recommended(Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9));
+    let after = measure_rate(4096, target_ms(quick), |i| {
         cipher.encrypt(0xfb623599da6e8127 ^ i, 0x477d469dec0b8762)
     });
     PerfRecord {
         bench: "qarma64_encrypt".into(),
-        before: Some(before),
+        before: None,
         after,
         unit: "ops_per_s",
         jobs: 1,
     }
 }
 
-/// PAC computation throughput: schedule re-derived per MAC vs the per-key
-/// cached cipher.
+/// PAC computation throughput through the per-key cached cipher.
 fn bench_pac_compute(quick: bool) -> PerfRecord {
     let pa = PointerAuth::new(VaLayout::default());
     let keys = PaKeys::from_seed(1);
-    let tms = target_ms(quick);
-    let before = measure_rate(512, tms, |i| {
-        pa.compute_pac_reference(&keys, PaKey::Ia, 0x40_1000 ^ (i << 4), i)
-    });
-    let after = measure_rate(4096, tms, |i| {
+    let after = measure_rate(4096, target_ms(quick), |i| {
         pa.compute_pac(&keys, PaKey::Ia, 0x40_1000 ^ (i << 4), i)
     });
     PerfRecord {
         bench: "pac_compute".into(),
-        before: Some(before),
+        before: None,
         after,
         unit: "ops_per_s",
         jobs: 1,
@@ -194,49 +172,36 @@ fn pac_loop_program(iterations: u64) -> Program {
     p
 }
 
-/// Retired PAC instructions per second on the CPU model, memo off vs on.
+/// Retired PAC instructions per second on the CPU model, memo on.
 fn bench_pac_insns(quick: bool) -> PerfRecord {
     let iterations: u64 = if quick { 20_000 } else { 200_000 };
-    let budget = iterations * 8 + 64;
-    let pac_insns = iterations * 3; // paciasp + autiasp + pacga per pass
-    let run_arm = |memo: bool| -> f64 {
-        let mut cpu = Cpu::with_seed(pac_loop_program(iterations), 3);
-        cpu.set_pac_memo(memo);
-        let start = Instant::now();
-        let outcome = cpu.run(budget).expect("pac loop must retire cleanly");
-        // 5 insns per pass + entry/exit glue; pinned by the unit test below.
-        assert_eq!(outcome.instructions, iterations * 5 + 5);
-        pac_insns as f64 / start.elapsed().as_secs_f64()
-    };
+    let mut cpu = Cpu::with_seed(pac_loop_program(iterations), 3);
+    let start = Instant::now();
+    let outcome = cpu
+        .run(iterations * 8 + 64)
+        .expect("pac loop must retire cleanly");
+    // 5 insns per pass + entry/exit glue; pinned by the unit test below.
+    assert_eq!(outcome.instructions, iterations * 5 + 5);
+    // paciasp + autiasp + pacga per pass
+    let after = (iterations * 3) as f64 / start.elapsed().as_secs_f64();
     PerfRecord {
         bench: "pac_insns".into(),
-        before: Some(run_arm(false)),
-        after: run_arm(true),
+        before: None,
+        after,
         unit: "ops_per_s",
         jobs: 1,
     }
 }
 
-/// Runs the experiment driver as a child process and returns
-/// `(stdout, wall-clock ms)`. `reference` selects the pre-optimisation arm
-/// via `PACSTACK_REFERENCE_PAC`; `telemetry` enables the telemetry sink in
-/// the child via `PACSTACK_TELEMETRY=1` (capture only, no export I/O).
-fn exec_repro(
-    target: &str,
-    jobs: usize,
-    reference: bool,
-    telemetry: bool,
-) -> Result<(Vec<u8>, f64), String> {
+/// Runs `repro <target>` as a child process and returns its stdout and
+/// wall-time row. `telemetry` enables the telemetry sink in the child via
+/// `PACSTACK_TELEMETRY=1` (capture only, no export I/O).
+fn bench_e2e(target: &str, jobs: usize, telemetry: bool) -> Result<(Vec<u8>, PerfRecord), String> {
     let exe = std::env::current_exe().map_err(|e| format!("cannot locate repro binary: {e}"))?;
     let mut cmd = Command::new(exe);
     cmd.arg(target).stderr(Stdio::null());
     if jobs > 0 {
         cmd.arg("--jobs").arg(jobs.to_string());
-    }
-    if reference {
-        cmd.env("PACSTACK_REFERENCE_PAC", "1");
-    } else {
-        cmd.env_remove("PACSTACK_REFERENCE_PAC");
     }
     if telemetry {
         cmd.env("PACSTACK_TELEMETRY", "1");
@@ -251,40 +216,29 @@ fn exec_repro(
     if !out.status.success() {
         return Err(format!("repro {target} exited with {}", out.status));
     }
-    Ok((out.stdout, wall))
-}
-
-/// End-to-end wall time of `repro <target>`, fast path vs reference arm,
-/// with the byte-identity gate between the two arms' stdout.
-fn bench_e2e(target: &str, jobs: usize) -> Result<PerfRecord, String> {
-    let (ref_out, ref_ms) = exec_repro(target, jobs, true, false)?;
-    let (fast_out, fast_ms) = exec_repro(target, jobs, false, false)?;
-    if ref_out != fast_out {
-        return Err(format!(
-            "determinism gate FAILED: `repro {target}` stdout differs between the \
-             reference arm and the fast path ({} vs {} bytes) — the caches changed results",
-            ref_out.len(),
-            fast_out.len()
-        ));
-    }
-    let jobs_label = if jobs == 0 {
-        "auto".to_owned()
+    let bench = if telemetry {
+        format!("repro_{target}_wall_telemetry_on")
+    } else if jobs == 0 {
+        format!("repro_{target}_wall_jobsauto")
     } else {
-        jobs.to_string()
+        format!("repro_{target}_wall_jobs{jobs}")
     };
-    Ok(PerfRecord {
-        bench: format!("repro_{target}_wall_jobs{jobs_label}"),
-        before: Some(ref_ms),
-        after: fast_ms,
-        unit: "ms",
-        jobs,
-    })
+    Ok((
+        out.stdout,
+        PerfRecord {
+            bench,
+            before: None,
+            after: wall,
+            unit: "ms",
+            jobs,
+        },
+    ))
 }
 
-/// Noise band for wall-clock comparisons against a committed bench file:
-/// timings from another run (and possibly another machine state) jitter far
-/// beyond the per-call cost being guarded, so this gate only catches gross
-/// regressions. The same-run telemetry-on/off pair is the precise check.
+/// Noise band for the wall-clock gate against the baseline file: timings
+/// from another run (and possibly another machine state) jitter far beyond
+/// the per-call cost being guarded, so this gate only catches gross
+/// regressions. The same-run byte comparisons are the precise checks.
 const CROSS_RUN_NOISE: f64 = 1.25;
 
 /// Extracts the `after` score of one bench entry from a committed
@@ -298,59 +252,40 @@ fn baseline_after(json: &str, bench: &str) -> Option<f64> {
     tail[..end].trim().parse().ok()
 }
 
-/// The zero-overhead-when-disabled gate for the telemetry subsystem:
-///
-/// * runs `repro <target>` with the telemetry sink enabled
-///   (`PACSTACK_TELEMETRY=1`) and disabled, byte-comparing stdout — an
-///   enabled sink must never change results;
-/// * records the pair as `repro_<target>_wall_telemetry` (before = sink
-///   on, after = sink off);
-/// * when the committed `BENCH_pr3.json` is present, asserts the
-///   telemetry-off wall time stays within [`CROSS_RUN_NOISE`] of the PR 3
-///   after-arm, recording the comparison as `repro_<target>_wall_vs_pr3`.
-fn bench_e2e_telemetry(target: &str, jobs: usize) -> Result<Vec<PerfRecord>, String> {
-    let (on_out, on_ms) = exec_repro(target, jobs, false, true)?;
-    let (off_out, off_ms) = exec_repro(target, jobs, false, false)?;
-    if on_out != off_out {
-        return Err(format!(
-            "telemetry gate FAILED: `repro {target}` stdout differs with the sink \
-             enabled vs disabled ({} vs {} bytes) — instrumentation changed results",
-            on_out.len(),
-            off_out.len()
-        ));
+/// Picks the baseline among the working directory's file names: the
+/// `BENCH_pr<N>.json` with the highest `N`, compared as numbers, skipping
+/// `out` (the file this run is about to write).
+fn baseline_file<'a>(names: impl IntoIterator<Item = &'a str>, out: &Path) -> Option<&'a str> {
+    let out = out.strip_prefix(".").unwrap_or(out);
+    names
+        .into_iter()
+        .filter(|name| Path::new(name) != out)
+        .filter_map(|name| {
+            let n = name.strip_prefix("BENCH_pr")?.strip_suffix(".json")?;
+            Some((n.parse::<u64>().ok()?, name))
+        })
+        .max_by_key(|&(n, _)| n)
+        .map(|(_, name)| name)
+}
+
+/// Sets each record's `before` to its row's `after` in the baseline JSON;
+/// rows the baseline lacks get no `before`.
+fn apply_baseline(records: &mut [PerfRecord], json: &str) {
+    for r in records {
+        r.before = baseline_after(json, &r.bench);
     }
-    let mut records = vec![PerfRecord {
-        bench: format!("repro_{target}_wall_telemetry"),
-        before: Some(on_ms),
-        after: off_ms,
-        unit: "ms",
-        jobs,
-    }];
-    let pr3_bench = format!("repro_{target}_wall_jobs{jobs}");
-    match std::fs::read_to_string("BENCH_pr3.json") {
-        Ok(json) => {
-            if let Some(pr3_after) = baseline_after(&json, &pr3_bench) {
-                if off_ms > pr3_after * CROSS_RUN_NOISE {
-                    return Err(format!(
-                        "telemetry gate FAILED: `repro {target}` telemetry-off wall time \
-                         {off_ms:.0} ms exceeds the BENCH_pr3.json after-arm \
-                         ({pr3_after:.0} ms) by more than the {CROSS_RUN_NOISE}x noise band"
-                    ));
-                }
-                records.push(PerfRecord {
-                    bench: format!("repro_{target}_wall_vs_pr3"),
-                    before: Some(pr3_after),
-                    after: off_ms,
-                    unit: "ms",
-                    jobs,
-                });
-            } else {
-                eprintln!("BENCH_pr3.json has no {pr3_bench} entry; skipping cross-run gate");
-            }
-        }
-        Err(_) => eprintln!("BENCH_pr3.json not found; skipping cross-run gate"),
-    }
-    Ok(records)
+}
+
+/// Reads the baseline bench file from the working directory, if any, as
+/// `(file name, contents)`.
+fn read_baseline(out: &Path) -> Option<(String, String)> {
+    let names: Vec<String> = std::fs::read_dir(".")
+        .ok()?
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .collect();
+    let name = baseline_file(names.iter().map(String::as_str), out)?;
+    let json = std::fs::read_to_string(name).ok()?;
+    Some((name.to_owned(), json))
 }
 
 /// Serialises the records as a JSON array matching the committed
@@ -377,16 +312,17 @@ fn to_json(records: &[PerfRecord]) -> String {
 }
 
 /// Formats the human-readable results table.
-fn render_table(records: &[PerfRecord], quick: bool) -> String {
+fn render_table(records: &[PerfRecord], quick: bool, baseline: Option<&str>) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "PAC fast-path performance{}",
-        if quick { " (quick mode)" } else { "" }
+        "Performance{}, before = {}",
+        if quick { " (quick mode)" } else { "" },
+        baseline.unwrap_or("no baseline file")
     );
     let _ = writeln!(
         s,
-        "{:<28} {:>14} {:>14} {:>9}  unit",
+        "{:<32} {:>14} {:>14} {:>9}  unit",
         "bench", "before", "after", "speedup"
     );
     for r in records {
@@ -398,7 +334,7 @@ fn render_table(records: &[PerfRecord], quick: bool) -> String {
             .map_or_else(|| "-".to_owned(), |f| format!("{f:.2}x"));
         let _ = writeln!(
             s,
-            "{:<28} {:>14} {:>14.0} {:>9}  {}",
+            "{:<32} {:>14} {:>14.0} {:>9}  {}",
             r.bench, before, r.after, speedup, r.unit
         );
     }
@@ -410,27 +346,69 @@ fn render_table(records: &[PerfRecord], quick: bool) -> String {
 ///
 /// # Errors
 ///
-/// Returns a message when the child `repro` processes cannot be spawned or
-/// when the byte-identity gate between the reference arm and the fast path
-/// fails.
+/// Returns a message when the child `repro` processes cannot be spawned,
+/// when their stdout differs between job counts or telemetry settings, or
+/// when the `--jobs 1` wall time exceeds the baseline's by more than
+/// [`CROSS_RUN_NOISE`].
 pub fn run(quick: bool, out: &Path) -> Result<(), String> {
+    // Quick mode: one representative experiment, sequential only.
+    let target = if quick { "table1" } else { "all" };
     let mut records = vec![
         bench_qarma(quick),
         bench_pac_compute(quick),
         bench_pakeys_first_pac(quick),
         bench_pac_insns(quick),
     ];
-    if quick {
-        // Smoke proxy: one representative experiment, sequential only.
-        records.push(bench_e2e("table1", 1)?);
-        records.extend(bench_e2e_telemetry("table1", 1)?);
-    } else {
-        records.push(bench_e2e("all", 1)?);
-        records.push(bench_e2e("all", 0)?);
-        records.extend(bench_e2e_telemetry("all", 1)?);
+    let (off_out, off) = bench_e2e(target, 1, false)?;
+    records.push(off);
+    if !quick {
+        let (auto_out, auto) = bench_e2e(target, 0, false)?;
+        if auto_out != off_out {
+            return Err(format!(
+                "determinism gate FAILED: `repro {target}` stdout differs between \
+                 --jobs 1 and auto jobs ({} vs {} bytes)",
+                off_out.len(),
+                auto_out.len()
+            ));
+        }
+        records.push(auto);
     }
-    print!("{}", render_table(&records, quick));
-    println!("determinism gate: reference arm and fast path produced byte-identical stdout");
+    let (on_out, on) = bench_e2e(target, 1, true)?;
+    if on_out != off_out {
+        return Err(format!(
+            "telemetry gate FAILED: `repro {target}` stdout differs with the sink \
+             enabled vs disabled ({} vs {} bytes) — instrumentation changed results",
+            on_out.len(),
+            off_out.len()
+        ));
+    }
+    records.push(on);
+
+    let baseline = read_baseline(out);
+    let gated = format!("repro_{target}_wall_jobs1");
+    match &baseline {
+        Some((name, json)) => {
+            apply_baseline(&mut records, json);
+            let row = records.iter().find(|r| r.bench == gated);
+            match row.and_then(|r| Some((r.before?, r.after))) {
+                Some((before, after)) if after > before * CROSS_RUN_NOISE => {
+                    return Err(format!(
+                        "cross-run gate FAILED: `repro {target} --jobs 1` took {after:.0} ms, \
+                         more than {CROSS_RUN_NOISE}x the {before:.0} ms in {name}"
+                    ));
+                }
+                Some((before, after)) => eprintln!(
+                    "cross-run gate: {gated} {after:.0} ms within {CROSS_RUN_NOISE}x of \
+                     {before:.0} ms in {name}"
+                ),
+                None => eprintln!("{name} has no {gated} entry; skipping cross-run gate"),
+            }
+        }
+        None => eprintln!("no BENCH_pr<N>.json baseline found; skipping cross-run gate"),
+    }
+
+    let baseline_name = baseline.as_ref().map(|(name, _)| name.as_str());
+    print!("{}", render_table(&records, quick, baseline_name));
     println!("telemetry gate: enabled and disabled sinks produced byte-identical stdout");
     std::fs::write(out, to_json(&records))
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
@@ -515,6 +493,64 @@ mod tests {
             Some(300.0)
         );
         assert_eq!(baseline_after(&json, "no_such_bench"), None);
+    }
+
+    #[test]
+    fn baseline_is_the_highest_numbered_bench_file() {
+        let out = Path::new("bench-quick.json");
+        let names = ["BENCH_pr3.json", "BENCH_pr7.json", "BENCH_pr10.json"];
+        // A lexicographic sort would pick pr7.
+        assert_eq!(baseline_file(names, out), Some("BENCH_pr10.json"));
+        assert_eq!(baseline_file(["README.md"], out), None);
+    }
+
+    #[test]
+    fn baseline_skips_the_out_file() {
+        let names = ["BENCH_pr7.json", "BENCH_pr8.json"];
+        assert_eq!(
+            baseline_file(names, Path::new("BENCH_pr8.json")),
+            Some("BENCH_pr7.json")
+        );
+        assert_eq!(
+            baseline_file(names, Path::new("./BENCH_pr8.json")),
+            Some("BENCH_pr7.json")
+        );
+    }
+
+    #[test]
+    fn baseline_ignores_other_file_names() {
+        let names = [
+            "BENCH_pr3.json.bak",
+            "bench-quick.json",
+            "BENCH_prX.json",
+            "BENCH_pr4.json",
+        ];
+        assert_eq!(
+            baseline_file(names, Path::new("BENCH_pr8.json")),
+            Some("BENCH_pr4.json")
+        );
+    }
+
+    #[test]
+    fn rows_missing_from_the_baseline_get_no_before() {
+        let json = to_json(&[PerfRecord {
+            bench: "pac_compute".into(),
+            before: Some(1.0),
+            after: 900.0,
+            unit: "ops_per_s",
+            jobs: 1,
+        }]);
+        let row = |bench: &str| PerfRecord {
+            bench: bench.into(),
+            before: None,
+            after: 1000.0,
+            unit: "ops_per_s",
+            jobs: 1,
+        };
+        let mut records = vec![row("pac_compute"), row("repro_all_wall_telemetry_on")];
+        apply_baseline(&mut records, &json);
+        assert_eq!(records[0].before, Some(900.0));
+        assert_eq!(records[1].before, None);
     }
 
     #[test]

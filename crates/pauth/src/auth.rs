@@ -1,11 +1,9 @@
 //! The `pac*` / `aut*` / `xpac` / `pacga` operations.
 
 use crate::{PaKey, PaKeys, VaLayout};
-use pacstack_qarma::{reference, Sigma};
 use pacstack_telemetry as telemetry;
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
 
 /// Telemetry counter name for PAC computations under one key register.
 /// Static strings keep the hot path allocation-free when recording.
@@ -17,19 +15,6 @@ fn pac_compute_counter(key: PaKey) -> &'static str {
         PaKey::Db => "pauth_pac_computes_total{key=\"DB\"}",
         PaKey::Ga => "pauth_pac_computes_total{key=\"GA\"}",
     }
-}
-
-/// Whether the process is pinned to the pre-optimisation PAC pipeline: the
-/// cell-based QARMA reference path with the key schedule re-derived per call,
-/// and (honoured separately by the CPU model) no PAC memoisation.
-///
-/// Controlled by setting the `PACSTACK_REFERENCE_PAC` environment variable
-/// before the first PAC computation; read once and latched. This is the
-/// honest "before" arm of the `repro perf` harness — both arms produce
-/// byte-identical experiment output, which the perf harness verifies.
-pub fn reference_pac_forced() -> bool {
-    static FORCED: OnceLock<bool> = OnceLock::new();
-    *FORCED.get_or_init(|| std::env::var_os("PACSTACK_REFERENCE_PAC").is_some())
 }
 
 /// How `aut*` reports a verification failure.
@@ -130,27 +115,8 @@ impl PointerAuth {
         if telemetry::enabled() {
             telemetry::counter(pac_compute_counter(key), 1);
         }
-        if reference_pac_forced() {
-            return self.compute_pac_reference(keys, key, pointer, modifier);
-        }
         let canonical = self.layout.canonical(pointer & !self.layout.pac_mask());
         let mac = keys.cipher(key).encrypt(canonical, modifier);
-        mac & ((1u64 << self.layout.pac_bits()) - 1)
-    }
-
-    /// [`PointerAuth::compute_pac`] through the cell-based reference cipher,
-    /// re-deriving the key schedule per call — the pre-optimisation cost
-    /// profile, kept as the differential oracle and the perf harness's
-    /// "before" arm. Always returns the same value as `compute_pac`.
-    pub fn compute_pac_reference(
-        &self,
-        keys: &PaKeys,
-        key: PaKey,
-        pointer: u64,
-        modifier: u64,
-    ) -> u64 {
-        let canonical = self.layout.canonical(pointer & !self.layout.pac_mask());
-        let mac = reference::encrypt(keys.key(key), Sigma::Sigma1, 7, canonical, modifier);
         mac & ((1u64 << self.layout.pac_bits()) - 1)
     }
 
@@ -239,10 +205,6 @@ impl PointerAuth {
         if telemetry::enabled() {
             telemetry::counter("pauth_pacga_total", 1);
         }
-        if reference_pac_forced() {
-            return reference::encrypt(keys.key(PaKey::Ga), Sigma::Sigma1, 7, x, y)
-                & 0xFFFF_FFFF_0000_0000;
-        }
         keys.cipher(PaKey::Ga).encrypt(x, y) & 0xFFFF_FFFF_0000_0000
     }
 }
@@ -252,6 +214,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
+    use pacstack_qarma::{reference, Sigma};
 
     fn unit() -> (PointerAuth, PaKeys) {
         (PointerAuth::new(VaLayout::default()), PaKeys::from_seed(99))
@@ -359,25 +322,47 @@ mod tests {
         assert_ne!(mac, pa.pacga(&keys, 0x1235, 0x5678));
     }
 
+    /// `compute_pac` through the cell-based QARMA oracle, with the key
+    /// schedule re-derived per call.
+    fn reference_pac(
+        pa: &PointerAuth,
+        keys: &PaKeys,
+        key: PaKey,
+        pointer: u64,
+        modifier: u64,
+    ) -> u64 {
+        let layout = pa.layout();
+        let canonical = layout.canonical(pointer & !layout.pac_mask());
+        let mac = reference::encrypt(keys.key(key), Sigma::Sigma1, 7, canonical, modifier);
+        mac & ((1u64 << layout.pac_bits()) - 1)
+    }
+
     fn assert_pac_matches_reference(pa: &PointerAuth, keys: &PaKeys, what: &str) {
-        for key in PaKey::ALL {
-            for i in 0..32u64 {
-                let ptr = PTR.wrapping_add(i * 40);
-                let modifier = i.wrapping_mul(0x9E37_79B9);
+        for i in 0..32u64 {
+            let ptr = PTR.wrapping_add(i * 40);
+            let modifier = i.wrapping_mul(0x9E37_79B9);
+            for key in PaKey::ALL {
                 assert_eq!(
                     pa.compute_pac(keys, key, ptr, modifier),
-                    pa.compute_pac_reference(keys, key, ptr, modifier),
+                    reference_pac(pa, keys, key, ptr, modifier),
                     "{key} diverged at i={i} on {what}"
                 );
             }
+            let ga = reference::encrypt(keys.key(PaKey::Ga), Sigma::Sigma1, 7, ptr, modifier);
+            assert_eq!(
+                pa.pacga(keys, ptr, modifier),
+                ga & 0xFFFF_FFFF_0000_0000,
+                "pacga diverged at i={i} on {what}"
+            );
         }
     }
 
     #[test]
     fn cached_cipher_pac_matches_reference_pac() {
         // The cached-schedule fast path and the rebuild-per-call reference
-        // path are the same MAC — the invariant the whole caching layer
-        // rests on — whatever state the lazy cipher slots are in.
+        // cipher are the same MAC, for `pac*`/`aut*` and `pacga` alike —
+        // the invariant the whole caching layer rests on — whatever state
+        // the lazy cipher slots are in.
         let (pa, keys) = unit();
         let cloned_before_use = keys.clone();
         assert_pac_matches_reference(&pa, &keys, "fresh keys");
@@ -400,7 +385,7 @@ mod tests {
         keys.set_key(PaKey::Ia, pacstack_qarma::Key128::new(0xFEED, 0xBEEF));
         let after = pa.compute_pac(&keys, PaKey::Ia, PTR, 7);
         assert_ne!(before, after);
-        assert_eq!(after, pa.compute_pac_reference(&keys, PaKey::Ia, PTR, 7));
+        assert_eq!(after, reference_pac(&pa, &keys, PaKey::Ia, PTR, 7));
     }
 
     #[test]

@@ -43,6 +43,6 @@ mod auth;
 mod keys;
 mod layout;
 
-pub use auth::{reference_pac_forced, AuthError, AuthFailure, PointerAuth};
+pub use auth::{AuthError, AuthFailure, PointerAuth};
 pub use keys::{PaKey, PaKeys};
 pub use layout::VaLayout;

@@ -5,10 +5,8 @@
 //! unpacked into a `[u8; 16]` nibble array for every σ/τ/M layer, and the
 //! key schedule (`w1`, per-round tweakeys, the reflector key) is re-derived
 //! on every call, exactly as the pre-optimisation implementation did. It is
-//! kept (a) as the ground truth for `tests/packed_differential.rs` and the
-//! in-crate proptests, and (b) as the honest "before" arm of the
-//! `repro perf` harness (selectable process-wide with the
-//! `PACSTACK_REFERENCE_PAC` environment variable).
+//! kept as the ground truth for `tests/packed_differential.rs`, the
+//! in-crate proptests and the PA unit's differential tests.
 
 use crate::cells::{from_cells, mix_columns, permute, sub_cells, Cells};
 use crate::constants::{ALPHA, ROUND_CONSTANTS, TAU, TAU_INV};

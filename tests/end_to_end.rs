@@ -150,6 +150,50 @@ fn every_scheme_survives_the_nginx_workload() {
 }
 
 #[test]
+fn pac_memo_changes_no_whole_program_result() {
+    // The CPU's PAC memo cache replays MACs the PA unit would recompute,
+    // so whole programs must retire identically with it on and off. The
+    // stack keeps the signed chain values spilled by returned frames, which
+    // exposes a memo that signs and verifies consistently but wrongly.
+    use pacstack::aarch64::LAYOUT;
+    use pacstack::workloads::nginx::server_module;
+    use pacstack::workloads::spec::{c_benchmark, Suite};
+    let stack = |cpu: &Cpu| -> Vec<u64> {
+        (1..=512)
+            .map(|i| cpu.mem().read_u64(LAYOUT.stack_top - 8 * i).unwrap())
+            .collect()
+    };
+    let modules = [
+        (
+            "perlbench",
+            c_benchmark("perlbench").unwrap().module(Suite::Rate),
+        ),
+        ("nginx", server_module(40)),
+    ];
+    for (name, module) in &modules {
+        for scheme in [Scheme::PacStack, Scheme::PacStackNomask] {
+            let program = lower(module, scheme);
+            let mut memo = Cpu::with_seed(program.clone(), 0xACE5);
+            let mut plain = Cpu::with_seed(program, 0xACE5);
+            plain.set_pac_memo(false);
+            let a = memo.run(2_000_000_000).unwrap();
+            let b = plain.run(2_000_000_000).unwrap();
+            assert!(matches!(a.status, RunStatus::Exited(_)), "{name} {scheme}");
+            assert_eq!(a.status, b.status, "{name} {scheme}");
+            assert_eq!(a.cycles, b.cycles, "{name} {scheme}");
+            assert_eq!(a.instructions, b.instructions, "{name} {scheme}");
+            assert_eq!(memo.output(), plain.output(), "{name} {scheme}");
+            assert_eq!(stack(&memo), stack(&plain), "{name} {scheme}");
+            assert!(
+                memo.pac_cache_stats().0 > 0,
+                "{name} {scheme}: no memo hits"
+            );
+            assert_eq!(plain.pac_cache_stats(), (0, 0), "{name} {scheme}");
+        }
+    }
+}
+
+#[test]
 fn chain_register_value_is_key_dependent_and_path_dependent() {
     let pa = PointerAuth::new(VaLayout::default());
     let build = |seed: u64, path: &[u64]| {
