@@ -21,9 +21,9 @@
 //! ```
 //!
 //! `repro perf` accepts `--quick` (a fast smoke variant for CI) and
-//! `--out <file>` (where to write the bench JSON; default `BENCH_pr8.json`).
+//! `--out <file>` (where to write the bench JSON; default `BENCH_pr9.json`).
 //! Each row's "before" is its "after" in the newest committed
-//! `BENCH_pr<N>.json`. It re-executes this binary to time whole runs, with
+//! `BENCH_pr<N>.json` that has the row. It re-executes this binary to time whole runs, with
 //! and without `PACSTACK_TELEMETRY=1`, and byte-compares their stdout.
 //!
 //! `repro trace` enables the telemetry sink, drives a fixed scenario
@@ -251,7 +251,7 @@ fn main() -> ExitCode {
             }
         }
         "perf" => {
-            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr8.json"));
+            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr9.json"));
             if let Err(e) = perf::run(quick, &out) {
                 eprintln!("perf harness failed: {e}");
                 return ExitCode::FAILURE;

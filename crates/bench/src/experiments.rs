@@ -7,7 +7,7 @@ use pacstack_chaos::campaign::{chaos_module, coverage, TargetCoverage};
 use pacstack_chaos::ChaosError;
 use pacstack_compiler::Scheme;
 use pacstack_exec as exec;
-use pacstack_workloads::measure::{geometric_mean_percent, overhead_percent};
+use pacstack_workloads::measure::{geometric_mean_percent, overheads};
 use pacstack_workloads::nginx::{ssl_tps, TpsResult};
 use pacstack_workloads::spec::{Suite, CPP_BENCHMARKS, C_BENCHMARKS};
 use pacstack_workloads::supervisor::{online_attack_economics, EconomicsRow};
@@ -107,9 +107,11 @@ pub struct Figure5Row {
 }
 
 /// Reproduces Figure 5: per-benchmark overhead of all five instrumentations
-/// for the C benchmarks, in both suite flavours. Benchmark runs fan out
-/// across the [`pacstack_exec`] worker pool; each (suite, benchmark) item
-/// is deterministic, so row order and values are thread-count independent.
+/// for the C benchmarks, in both suite flavours. Each row simulates its
+/// module once per scheme plus one shared baseline ([`overheads`]). Rows
+/// fan out across the [`pacstack_exec`] worker pool; each (suite,
+/// benchmark) item is deterministic, so row order and values are
+/// thread-count independent.
 pub fn figure5() -> Vec<Figure5Row> {
     let mut items = Vec::new();
     for suite in [Suite::Rate, Suite::Speed] {
@@ -119,14 +121,11 @@ pub fn figure5() -> Vec<Figure5Row> {
     }
     let run = exec::parallel_map(&items, |_, &(suite, profile)| {
         let module = profile.module(suite);
-        let overheads = MEASURED_SCHEMES
-            .iter()
-            .map(|&scheme| (scheme, overhead_percent(&module, scheme, BUDGET)))
-            .collect();
+        let row = overheads(&module, &MEASURED_SCHEMES, BUDGET);
         Figure5Row {
             name: profile.name.to_owned(),
             suite,
-            overheads,
+            overheads: MEASURED_SCHEMES.into_iter().zip(row).collect(),
         }
     });
     exec::stats::record("figure5 SPEC sweep", run.stats);
@@ -177,14 +176,13 @@ pub fn table2(figure5_rows: &[Figure5Row]) -> Vec<Table2Row> {
         .collect()
 }
 
-/// The paper's aggregate for the C++ benchmarks: (PACStack %, nomask %).
+/// The paper's aggregate for the C++ benchmarks: (PACStack %, nomask %),
+/// from one baseline and one run per scheme for each benchmark.
 pub fn cpp_aggregate() -> (f64, f64) {
     let run = exec::parallel_map(&CPP_BENCHMARKS, |_, p| {
         let module = p.module(Suite::Rate);
-        (
-            overhead_percent(&module, Scheme::PacStack, BUDGET),
-            overhead_percent(&module, Scheme::PacStackNomask, BUDGET),
-        )
+        let o = overheads(&module, &[Scheme::PacStack, Scheme::PacStackNomask], BUDGET);
+        (o[0], o[1])
     });
     exec::stats::record("figure5 C++ aggregate", run.stats);
     let (full, nomask): (Vec<f64>, Vec<f64>) = run.results.into_iter().unzip();
@@ -223,15 +221,24 @@ impl Table3Row {
     }
 }
 
-/// Reproduces Table 3 with `runs` measurement sessions per cell.
+/// Reproduces Table 3 with `runs` measurement sessions per cell. Both rows
+/// come from one [`ssl_tps`] sweep: the 8-worker row is derived from the
+/// same simulations as the 4-worker row and is exactly twice it.
 pub fn table3(runs: usize, seed: u64) -> Vec<Table3Row> {
-    [4u32, 8]
-        .iter()
-        .map(|&workers| Table3Row {
-            workers,
-            baseline: ssl_tps(Scheme::Baseline, workers, runs, seed),
-            nomask: ssl_tps(Scheme::PacStackNomask, workers, runs, seed),
-            pacstack: ssl_tps(Scheme::PacStack, workers, runs, seed),
+    const WORKERS: [u32; 2] = [4, 8];
+    let schemes = [Scheme::Baseline, Scheme::PacStackNomask, Scheme::PacStack];
+    ssl_tps(&schemes, &WORKERS, runs, seed)
+        .into_iter()
+        .zip(WORKERS)
+        .map(|(cells, workers)| {
+            let [baseline, nomask, pacstack]: [TpsResult; 3] =
+                cells.try_into().expect("one result per scheme");
+            Table3Row {
+                workers,
+                baseline,
+                nomask,
+                pacstack,
+            }
         })
         .collect()
 }
@@ -568,17 +575,18 @@ pub fn instruction_mix() -> Vec<MixRow> {
             }
         }
     };
-    let baseline = run(Scheme::Baseline);
-    let swept = exec::parallel_map(&Scheme::ALL, |_, &scheme| {
-        let counters = run(scheme);
-        MixRow {
+    let swept = exec::parallel_map(&Scheme::ALL, |_, &scheme| run(scheme));
+    exec::stats::record("instruction mix", swept.stats);
+    let baseline = swept.results[0].total() as i64; // Scheme::ALL[0] is the baseline
+    Scheme::ALL
+        .into_iter()
+        .zip(swept.results)
+        .map(|(scheme, counters)| MixRow {
             scheme,
             counters,
-            added_vs_baseline: counters.total() as i64 - baseline.total() as i64,
-        }
-    });
-    exec::stats::record("instruction mix", swept.stats);
-    swept.results
+            added_vs_baseline: counters.total() as i64 - baseline,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -798,6 +806,25 @@ mod tests {
         // Speed exceeds rate for the PACStack variants (3.28 vs 2.75).
         assert!(full.speed > full.rate);
         assert!(nomask.speed > nomask.rate);
+    }
+
+    #[test]
+    fn overheads_equal_pairwise_runs() {
+        use pacstack_workloads::measure::run_module;
+        use pacstack_workloads::spec::c_benchmark;
+        for (name, suite) in [("perlbench", Suite::Rate), ("mcf", Suite::Speed)] {
+            let module = c_benchmark(name).unwrap().module(suite);
+            let swept = overheads(&module, &MEASURED_SCHEMES, BUDGET);
+            assert_eq!(swept.len(), MEASURED_SCHEMES.len());
+            for (&scheme, &o) in MEASURED_SCHEMES.iter().zip(&swept) {
+                let base = run_module(&module, Scheme::Baseline, BUDGET);
+                let inst = run_module(&module, scheme, BUDGET);
+                assert_eq!(base.exit_code, inst.exit_code);
+                let pairwise =
+                    (inst.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0;
+                assert_eq!(o, pairwise, "{name} {suite:?} {scheme}");
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The `repro perf` harness: one measurement per row of the current code,
-//! compared with the newest committed bench file.
+//! compared with the newest committed bench file that has the row.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr8.json`). A
+//! and written as machine-readable JSON (default `BENCH_pr9.json`). A
 //! row's *before* is that row's *after* in the newest `BENCH_pr<N>.json`
-//! of the working directory (highest `N`, the `--out` file excluded), so
-//! the committed files form a performance trajectory:
+//! of the working directory that has the row (highest `N`, the `--out`
+//! file excluded), so the committed files form a performance trajectory
+//! even when quick-mode and full-mode files alternate:
 //!
 //! * **`qarma64_encrypt`** — QARMA-64 encryptions per second through a
 //!   prebuilt instance on the dispatched fast path (SSSE3 where the CPU has
@@ -22,6 +23,9 @@
 //!   process with the telemetry sink off (`all`, or `table1` with
 //!   `--quick`; the auto-jobs row only in full mode). The two runs' stdout
 //!   is byte-compared.
+//! * **`repro_table3_wall_jobs1`**, **`repro_figure5_wall_jobs1`** — full
+//!   mode only: the two workload-simulation experiments alone at
+//!   `--jobs 1`, telemetry off.
 //! * **`repro_<target>_wall_telemetry_on`** — the same `--jobs 1` run with
 //!   the sink enabled (`PACSTACK_TELEMETRY=1`); its stdout must equal the
 //!   sink-off run's byte for byte.
@@ -41,13 +45,15 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// One row of the bench JSON, serialised verbatim.
+/// One row of the bench JSON, serialised verbatim (all but `before_file`).
 #[derive(Debug, Clone)]
 pub struct PerfRecord {
     /// Benchmark name (stable across PRs, so trajectories can be compared).
     pub bench: String,
-    /// The row's `after` in the baseline bench file, when it has the row.
+    /// The row's `after` in the newest bench file that has the row.
     pub before: Option<f64>,
+    /// The bench file `before` was read from.
+    pub before_file: Option<String>,
     /// The current path's score.
     pub after: f64,
     /// Unit of both scores: `ops_per_s` (higher is better) or `ms` (lower
@@ -58,6 +64,18 @@ pub struct PerfRecord {
 }
 
 impl PerfRecord {
+    /// A row of the current code with no baseline yet.
+    fn new(bench: impl Into<String>, after: f64, unit: &'static str, jobs: usize) -> Self {
+        Self {
+            bench: bench.into(),
+            before: None,
+            before_file: None,
+            after,
+            unit,
+            jobs,
+        }
+    }
+
     /// The improvement factor, oriented so that > 1 always means "faster".
     fn speedup(&self) -> Option<f64> {
         let before = self.before?;
@@ -109,13 +127,7 @@ fn bench_qarma(quick: bool) -> PerfRecord {
     let after = measure_rate(4096, target_ms(quick), |i| {
         cipher.encrypt(0xfb623599da6e8127 ^ i, 0x477d469dec0b8762)
     });
-    PerfRecord {
-        bench: "qarma64_encrypt".into(),
-        before: None,
-        after,
-        unit: "ops_per_s",
-        jobs: 1,
-    }
+    PerfRecord::new("qarma64_encrypt", after, "ops_per_s", 1)
 }
 
 /// PAC computation throughput through the per-key cached cipher.
@@ -125,13 +137,7 @@ fn bench_pac_compute(quick: bool) -> PerfRecord {
     let after = measure_rate(4096, target_ms(quick), |i| {
         pa.compute_pac(&keys, PaKey::Ia, 0x40_1000 ^ (i << 4), i)
     });
-    PerfRecord {
-        bench: "pac_compute".into(),
-        before: None,
-        after,
-        unit: "ops_per_s",
-        jobs: 1,
-    }
+    PerfRecord::new("pac_compute", after, "ops_per_s", 1)
 }
 
 /// Fresh keys plus their first IA MAC per operation — key generation and
@@ -142,13 +148,7 @@ fn bench_pakeys_first_pac(quick: bool) -> PerfRecord {
         let keys = PaKeys::from_seed(i);
         pa.compute_pac(&keys, PaKey::Ia, 0x40_1000, i)
     });
-    PerfRecord {
-        bench: "pakeys_first_pac".into(),
-        before: None,
-        after,
-        unit: "ops_per_s",
-        jobs: 1,
-    }
+    PerfRecord::new("pakeys_first_pac", after, "ops_per_s", 1)
 }
 
 /// A program that signs, authenticates and MACs in a counted loop — the
@@ -184,13 +184,7 @@ fn bench_pac_insns(quick: bool) -> PerfRecord {
     assert_eq!(outcome.instructions, iterations * 5 + 5);
     // paciasp + autiasp + pacga per pass
     let after = (iterations * 3) as f64 / start.elapsed().as_secs_f64();
-    PerfRecord {
-        bench: "pac_insns".into(),
-        before: None,
-        after,
-        unit: "ops_per_s",
-        jobs: 1,
-    }
+    PerfRecord::new("pac_insns", after, "ops_per_s", 1)
 }
 
 /// Runs `repro <target>` as a child process and returns its stdout and
@@ -223,16 +217,7 @@ fn bench_e2e(target: &str, jobs: usize, telemetry: bool) -> Result<(Vec<u8>, Per
     } else {
         format!("repro_{target}_wall_jobs{jobs}")
     };
-    Ok((
-        out.stdout,
-        PerfRecord {
-            bench,
-            before: None,
-            after: wall,
-            unit: "ms",
-            jobs,
-        },
-    ))
+    Ok((out.stdout, PerfRecord::new(bench, wall, "ms", jobs)))
 }
 
 /// Noise band for the wall-clock gate against the baseline file: timings
@@ -252,40 +237,49 @@ fn baseline_after(json: &str, bench: &str) -> Option<f64> {
     tail[..end].trim().parse().ok()
 }
 
-/// Picks the baseline among the working directory's file names: the
-/// `BENCH_pr<N>.json` with the highest `N`, compared as numbers, skipping
-/// `out` (the file this run is about to write).
-fn baseline_file<'a>(names: impl IntoIterator<Item = &'a str>, out: &Path) -> Option<&'a str> {
+/// Orders the baseline candidates among the working directory's file
+/// names: every `BENCH_pr<N>.json`, highest `N` first (compared as
+/// numbers), skipping `out` (the file this run is about to write).
+fn baseline_files<'a>(names: impl IntoIterator<Item = &'a str>, out: &Path) -> Vec<&'a str> {
     let out = out.strip_prefix(".").unwrap_or(out);
-    names
+    let mut files: Vec<(u64, &str)> = names
         .into_iter()
         .filter(|name| Path::new(name) != out)
         .filter_map(|name| {
             let n = name.strip_prefix("BENCH_pr")?.strip_suffix(".json")?;
             Some((n.parse::<u64>().ok()?, name))
         })
-        .max_by_key(|&(n, _)| n)
-        .map(|(_, name)| name)
+        .collect();
+    files.sort_unstable_by_key(|&(n, _)| std::cmp::Reverse(n));
+    files.into_iter().map(|(_, name)| name).collect()
 }
 
-/// Sets each record's `before` to its row's `after` in the baseline JSON;
-/// rows the baseline lacks get no `before`.
-fn apply_baseline(records: &mut [PerfRecord], json: &str) {
+/// Sets each record's `before` to its row's `after` in the first of
+/// `files` (`(name, contents)`, newest first) that has the row; rows no
+/// file has get no `before`.
+fn apply_baselines(records: &mut [PerfRecord], files: &[(String, String)]) {
     for r in records {
-        r.before = baseline_after(json, &r.bench);
+        let found = files
+            .iter()
+            .find_map(|(name, json)| Some((baseline_after(json, &r.bench)?, name)));
+        r.before = found.map(|(after, _)| after);
+        r.before_file = found.map(|(_, name)| name.clone());
     }
 }
 
-/// Reads the baseline bench file from the working directory, if any, as
-/// `(file name, contents)`.
-fn read_baseline(out: &Path) -> Option<(String, String)> {
+/// Reads the baseline bench files from the working directory as
+/// `(file name, contents)`, newest first.
+fn read_baselines(out: &Path) -> Vec<(String, String)> {
     let names: Vec<String> = std::fs::read_dir(".")
-        .ok()?
-        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
-        .collect();
-    let name = baseline_file(names.iter().map(String::as_str), out)?;
-    let json = std::fs::read_to_string(name).ok()?;
-    Some((name.to_owned(), json))
+        .map(|dir| {
+            dir.filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+                .collect()
+        })
+        .unwrap_or_default();
+    baseline_files(names.iter().map(String::as_str), out)
+        .into_iter()
+        .filter_map(|name| Some((name.to_owned(), std::fs::read_to_string(name).ok()?)))
+        .collect()
 }
 
 /// Serialises the records as a JSON array matching the committed
@@ -311,19 +305,19 @@ fn to_json(records: &[PerfRecord]) -> String {
     s
 }
 
-/// Formats the human-readable results table.
-fn render_table(records: &[PerfRecord], quick: bool, baseline: Option<&str>) -> String {
+/// Formats the human-readable results table; each row names the bench
+/// file its `before` came from.
+fn render_table(records: &[PerfRecord], quick: bool) -> String {
     let mut s = String::new();
     let _ = writeln!(
         s,
-        "Performance{}, before = {}",
+        "Performance{}, before = the row in the newest BENCH_pr<N>.json that has it",
         if quick { " (quick mode)" } else { "" },
-        baseline.unwrap_or("no baseline file")
     );
     let _ = writeln!(
         s,
-        "{:<32} {:>14} {:>14} {:>9}  unit",
-        "bench", "before", "after", "speedup"
+        "{:<32} {:>14} {:>14} {:>9}  {:<9} from",
+        "bench", "before", "after", "speedup", "unit"
     );
     for r in records {
         let before = r
@@ -334,8 +328,13 @@ fn render_table(records: &[PerfRecord], quick: bool, baseline: Option<&str>) -> 
             .map_or_else(|| "-".to_owned(), |f| format!("{f:.2}x"));
         let _ = writeln!(
             s,
-            "{:<32} {:>14} {:>14.0} {:>9}  {}",
-            r.bench, before, r.after, speedup, r.unit
+            "{:<32} {:>14} {:>14.0} {:>9}  {:<9} {}",
+            r.bench,
+            before,
+            r.after,
+            speedup,
+            r.unit,
+            r.before_file.as_deref().unwrap_or("-")
         );
     }
     s
@@ -383,32 +382,31 @@ pub fn run(quick: bool, out: &Path) -> Result<(), String> {
         ));
     }
     records.push(on);
-
-    let baseline = read_baseline(out);
-    let gated = format!("repro_{target}_wall_jobs1");
-    match &baseline {
-        Some((name, json)) => {
-            apply_baseline(&mut records, json);
-            let row = records.iter().find(|r| r.bench == gated);
-            match row.and_then(|r| Some((r.before?, r.after))) {
-                Some((before, after)) if after > before * CROSS_RUN_NOISE => {
-                    return Err(format!(
-                        "cross-run gate FAILED: `repro {target} --jobs 1` took {after:.0} ms, \
-                         more than {CROSS_RUN_NOISE}x the {before:.0} ms in {name}"
-                    ));
-                }
-                Some((before, after)) => eprintln!(
-                    "cross-run gate: {gated} {after:.0} ms within {CROSS_RUN_NOISE}x of \
-                     {before:.0} ms in {name}"
-                ),
-                None => eprintln!("{name} has no {gated} entry; skipping cross-run gate"),
-            }
+    if !quick {
+        // The workload-simulation experiments alone, for per-experiment rows.
+        for experiment in ["table3", "figure5"] {
+            records.push(bench_e2e(experiment, 1, false)?.1);
         }
-        None => eprintln!("no BENCH_pr<N>.json baseline found; skipping cross-run gate"),
     }
 
-    let baseline_name = baseline.as_ref().map(|(name, _)| name.as_str());
-    print!("{}", render_table(&records, quick, baseline_name));
+    apply_baselines(&mut records, &read_baselines(out));
+    let gated = format!("repro_{target}_wall_jobs1");
+    let row = records.iter().find(|r| r.bench == gated);
+    match row.and_then(|r| Some((r.before?, r.after, r.before_file.as_deref()?))) {
+        Some((before, after, name)) if after > before * CROSS_RUN_NOISE => {
+            return Err(format!(
+                "cross-run gate FAILED: `repro {target} --jobs 1` took {after:.0} ms, \
+                 more than {CROSS_RUN_NOISE}x the {before:.0} ms in {name}"
+            ));
+        }
+        Some((before, after, name)) => eprintln!(
+            "cross-run gate: {gated} {after:.0} ms within {CROSS_RUN_NOISE}x of \
+             {before:.0} ms in {name}"
+        ),
+        None => eprintln!("no BENCH_pr<N>.json has a {gated} entry; skipping cross-run gate"),
+    }
+
+    print!("{}", render_table(&records, quick));
     println!("telemetry gate: enabled and disabled sinks produced byte-identical stdout");
     std::fs::write(out, to_json(&records))
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
@@ -420,23 +418,19 @@ pub fn run(quick: bool, out: &Path) -> Result<(), String> {
 mod tests {
     use super::*;
 
+    /// A row that already carries a `before`.
+    fn with_before(bench: &str, before: f64, after: f64, unit: &'static str) -> PerfRecord {
+        PerfRecord {
+            before: Some(before),
+            ..PerfRecord::new(bench, after, unit, 1)
+        }
+    }
+
     #[test]
     fn json_matches_the_documented_schema() {
         let records = vec![
-            PerfRecord {
-                bench: "qarma64_encrypt".into(),
-                before: Some(1000.0),
-                after: 5000.0,
-                unit: "ops_per_s",
-                jobs: 1,
-            },
-            PerfRecord {
-                bench: "repro_all_wall_jobsauto".into(),
-                before: None,
-                after: 1234.5,
-                unit: "ms",
-                jobs: 0,
-            },
+            with_before("qarma64_encrypt", 1000.0, 5000.0, "ops_per_s"),
+            PerfRecord::new("repro_all_wall_jobsauto", 1234.5, "ms", 0),
         ];
         let json = to_json(&records);
         assert!(json.contains("\"bench\": \"qarma64_encrypt\""));
@@ -451,20 +445,8 @@ mod tests {
 
     #[test]
     fn speedup_orients_both_units_as_faster_is_greater() {
-        let rate = PerfRecord {
-            bench: "r".into(),
-            before: Some(100.0),
-            after: 500.0,
-            unit: "ops_per_s",
-            jobs: 1,
-        };
-        let wall = PerfRecord {
-            bench: "w".into(),
-            before: Some(500.0),
-            after: 100.0,
-            unit: "ms",
-            jobs: 1,
-        };
+        let rate = with_before("r", 100.0, 500.0, "ops_per_s");
+        let wall = with_before("w", 500.0, 100.0, "ms");
         assert_eq!(rate.speedup(), Some(5.0));
         assert_eq!(wall.speedup(), Some(5.0));
     }
@@ -472,20 +454,8 @@ mod tests {
     #[test]
     fn baseline_after_reads_the_committed_schema() {
         let json = to_json(&[
-            PerfRecord {
-                bench: "repro_all_wall_jobs1".into(),
-                before: Some(900.0),
-                after: 850.5,
-                unit: "ms",
-                jobs: 1,
-            },
-            PerfRecord {
-                bench: "repro_all_wall_jobsauto".into(),
-                before: None,
-                after: 300.0,
-                unit: "ms",
-                jobs: 0,
-            },
+            with_before("repro_all_wall_jobs1", 900.0, 850.5, "ms"),
+            PerfRecord::new("repro_all_wall_jobsauto", 300.0, "ms", 0),
         ]);
         assert_eq!(baseline_after(&json, "repro_all_wall_jobs1"), Some(850.5));
         assert_eq!(
@@ -496,24 +466,27 @@ mod tests {
     }
 
     #[test]
-    fn baseline_is_the_highest_numbered_bench_file() {
+    fn baseline_files_are_ordered_newest_first() {
         let out = Path::new("bench-quick.json");
-        let names = ["BENCH_pr3.json", "BENCH_pr7.json", "BENCH_pr10.json"];
-        // A lexicographic sort would pick pr7.
-        assert_eq!(baseline_file(names, out), Some("BENCH_pr10.json"));
-        assert_eq!(baseline_file(["README.md"], out), None);
+        let names = ["BENCH_pr7.json", "BENCH_pr10.json", "BENCH_pr3.json"];
+        // A lexicographic sort would put pr7 first.
+        assert_eq!(
+            baseline_files(names, out),
+            ["BENCH_pr10.json", "BENCH_pr7.json", "BENCH_pr3.json"]
+        );
+        assert!(baseline_files(["README.md"], out).is_empty());
     }
 
     #[test]
     fn baseline_skips_the_out_file() {
         let names = ["BENCH_pr7.json", "BENCH_pr8.json"];
         assert_eq!(
-            baseline_file(names, Path::new("BENCH_pr8.json")),
-            Some("BENCH_pr7.json")
+            baseline_files(names, Path::new("BENCH_pr8.json")),
+            ["BENCH_pr7.json"]
         );
         assert_eq!(
-            baseline_file(names, Path::new("./BENCH_pr8.json")),
-            Some("BENCH_pr7.json")
+            baseline_files(names, Path::new("./BENCH_pr8.json")),
+            ["BENCH_pr7.json"]
         );
     }
 
@@ -526,31 +499,64 @@ mod tests {
             "BENCH_pr4.json",
         ];
         assert_eq!(
-            baseline_file(names, Path::new("BENCH_pr8.json")),
-            Some("BENCH_pr4.json")
+            baseline_files(names, Path::new("BENCH_pr8.json")),
+            ["BENCH_pr4.json"]
         );
     }
 
     #[test]
-    fn rows_missing_from_the_baseline_get_no_before() {
-        let json = to_json(&[PerfRecord {
-            bench: "pac_compute".into(),
-            before: Some(1.0),
-            after: 900.0,
-            unit: "ops_per_s",
-            jobs: 1,
-        }]);
-        let row = |bench: &str| PerfRecord {
-            bench: bench.into(),
-            before: None,
-            after: 1000.0,
-            unit: "ops_per_s",
-            jobs: 1,
-        };
+    fn rows_missing_from_every_baseline_get_no_before() {
+        let json = to_json(&[with_before("pac_compute", 1.0, 900.0, "ops_per_s")]);
+        let row = |bench: &str| PerfRecord::new(bench, 1000.0, "ops_per_s", 1);
         let mut records = vec![row("pac_compute"), row("repro_all_wall_telemetry_on")];
-        apply_baseline(&mut records, &json);
+        apply_baselines(&mut records, &[("BENCH_pr8.json".into(), json)]);
         assert_eq!(records[0].before, Some(900.0));
+        assert_eq!(records[0].before_file.as_deref(), Some("BENCH_pr8.json"));
         assert_eq!(records[1].before, None);
+        assert_eq!(records[1].before_file, None);
+    }
+
+    #[test]
+    fn each_row_takes_the_newest_file_that_has_it() {
+        // pr7 is a quick-mode file (table1 rows), pr8 a full-mode one (all
+        // rows only): a quick run still finds its gated table1 baseline.
+        let pr7 = to_json(&[
+            PerfRecord::new("pac_compute", 9.0e6, "ops_per_s", 1),
+            PerfRecord::new("repro_table1_wall_jobs1", 506.7, "ms", 1),
+            PerfRecord::new("repro_table1_wall_telemetry_on", 530.0, "ms", 1),
+        ]);
+        let pr8 = to_json(&[
+            PerfRecord::new("pac_compute", 1.1e7, "ops_per_s", 1),
+            PerfRecord::new("repro_all_wall_jobs1", 2496.0, "ms", 1),
+            PerfRecord::new("repro_all_wall_jobsauto", 1800.0, "ms", 0),
+        ]);
+        let files = [
+            ("BENCH_pr8.json".into(), pr8),
+            ("BENCH_pr7.json".into(), pr7),
+        ];
+        let row = |bench: &str| PerfRecord::new(bench, 1.0, "ms", 1);
+        let mut records = vec![
+            row("pac_compute"),
+            row("repro_table1_wall_jobs1"),
+            row("repro_table1_wall_telemetry_on"),
+            row("repro_all_wall_jobs1"),
+            row("repro_all_wall_jobsauto"),
+        ];
+        apply_baselines(&mut records, &files);
+        let got: Vec<_> = records
+            .iter()
+            .map(|r| (r.before, r.before_file.as_deref()))
+            .collect();
+        assert_eq!(
+            got,
+            [
+                (Some(1.1e7), Some("BENCH_pr8.json")),
+                (Some(506.7), Some("BENCH_pr7.json")),
+                (Some(530.0), Some("BENCH_pr7.json")),
+                (Some(2496.0), Some("BENCH_pr8.json")),
+                (Some(1800.0), Some("BENCH_pr8.json")),
+            ]
+        );
     }
 
     #[test]

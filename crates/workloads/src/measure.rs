@@ -27,20 +27,7 @@ pub struct Measurement {
 /// Panics if the program faults or exceeds `budget` instructions — workload
 /// programs are supposed to run clean under every scheme.
 pub fn run_module(module: &Module, scheme: Scheme, budget: u64) -> Measurement {
-    let program = lower(module, scheme);
-    let mut cpu = Cpu::with_seed(program, 0xACE5);
-    match cpu.run(budget) {
-        Ok(out) => match out.status {
-            RunStatus::Exited(code) => Measurement {
-                cycles: out.cycles,
-                instructions: out.instructions,
-                exit_code: code,
-            },
-            RunStatus::Syscall(n) => panic!("workload raised unexpected syscall {n}"),
-        },
-        Err(Fault::Timeout) => panic!("workload exceeded {budget} instructions"),
-        Err(fault) => panic!("workload faulted under {scheme}: {fault}"),
-    }
+    run_to_exit(&mut cpu_for(module, scheme), scheme, budget)
 }
 
 /// Runs `module` under `scheme` with per-function cycle attribution and
@@ -62,18 +49,9 @@ pub fn run_module_profiled(
     budget: u64,
     track: &str,
 ) -> Measurement {
-    let program = lower(module, scheme);
-    let mut cpu = Cpu::with_seed(program, 0xACE5);
+    let mut cpu = cpu_for(module, scheme);
     cpu.enable_profile(PROFILE_SPAN_CAP);
-    let out = match cpu.run(budget) {
-        Ok(out) => out,
-        Err(Fault::Timeout) => panic!("workload exceeded {budget} instructions"),
-        Err(fault) => panic!("workload faulted under {scheme}: {fault}"),
-    };
-    let code = match out.status {
-        RunStatus::Exited(code) => code,
-        RunStatus::Syscall(n) => panic!("workload raised unexpected syscall {n}"),
-    };
+    let m = run_to_exit(&mut cpu, scheme, budget);
     if telemetry::enabled() {
         if let Some(profile) = cpu.take_profile() {
             for (stack, self_cycles) in &profile.stacks {
@@ -95,29 +73,76 @@ pub fn run_module_profiled(
                 );
             }
         }
-        telemetry::observe_cycles("workload_run_cycles", out.cycles);
+        telemetry::observe_cycles("workload_run_cycles", m.cycles);
     }
-    Measurement {
-        cycles: out.cycles,
-        instructions: out.instructions,
-        exit_code: code,
+    m
+}
+
+/// The CPU every measurement runs on: `module` lowered under `scheme`,
+/// keys from a fixed seed.
+fn cpu_for(module: &Module, scheme: Scheme) -> Cpu {
+    Cpu::with_seed(lower(module, scheme), 0xACE5)
+}
+
+/// Runs `cpu` to its exit and measures it; the run-and-check body shared by
+/// [`run_module`] and [`run_module_profiled`].
+///
+/// # Panics
+///
+/// Panics if the program faults, raises a syscall or exceeds `budget`
+/// instructions.
+fn run_to_exit(cpu: &mut Cpu, scheme: Scheme, budget: u64) -> Measurement {
+    match cpu.run(budget) {
+        Ok(out) => match out.status {
+            RunStatus::Exited(code) => Measurement {
+                cycles: out.cycles,
+                instructions: out.instructions,
+                exit_code: code,
+            },
+            RunStatus::Syscall(n) => panic!("workload raised unexpected syscall {n}"),
+        },
+        Err(Fault::Timeout) => panic!("workload exceeded {budget} instructions"),
+        Err(fault) => panic!("workload faulted under {scheme}: {fault}"),
     }
 }
 
-/// Percentage overhead of `scheme` over the baseline for `module`.
+/// Percentage overhead over the baseline of each of `schemes` for
+/// `module`, in `schemes` order.
+///
+/// Simulates the baseline once and then each listed scheme once, so a row
+/// of `n` schemes costs `n + 1` runs rather than the `2n` of repeated
+/// [`overhead_percent`] calls. Each overhead is
+/// `(cycles − baseline cycles) / baseline cycles × 100`.
+///
+/// # Panics
+///
+/// Panics if any scheme's run disagrees with the baseline on the exit code
+/// (an instrumentation correctness bug) or if any run faults.
+pub fn overheads(module: &Module, schemes: &[Scheme], budget: u64) -> Vec<f64> {
+    let base = run_module(module, Scheme::Baseline, budget);
+    schemes
+        .iter()
+        .map(|&scheme| {
+            let inst = run_module(module, scheme, budget);
+            assert_eq!(
+                base.exit_code, inst.exit_code,
+                "{scheme} changed program behaviour"
+            );
+            (inst.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0
+        })
+        .collect()
+}
+
+/// Percentage overhead of `scheme` over the baseline for `module`: the
+/// one-scheme case of [`overheads`], two runs per call. Prefer
+/// [`overheads`] when measuring several schemes on the same module.
 ///
 /// # Panics
 ///
 /// Panics if the two runs disagree on the exit code (an instrumentation
 /// correctness bug) or if either run faults.
 pub fn overhead_percent(module: &Module, scheme: Scheme, budget: u64) -> f64 {
-    let base = run_module(module, Scheme::Baseline, budget);
-    let inst = run_module(module, scheme, budget);
-    assert_eq!(
-        base.exit_code, inst.exit_code,
-        "{scheme} changed program behaviour"
-    );
-    (inst.cycles as f64 - base.cycles as f64) / base.cycles as f64 * 100.0
+    overheads(module, &[scheme], budget)[0]
 }
 
 /// Geometric mean of a slice of percentage overheads, computed over the

@@ -14,14 +14,16 @@ fn main() {
         "{:>8} {:<18} {:>14} {:>10} {:>8}",
         "workers", "configuration", "req/sec", "σ", "loss"
     );
-    for workers in [4u32, 8] {
-        let baseline = ssl_tps(Scheme::Baseline, workers, 10, 42);
-        for (label, scheme) in [
-            ("baseline", Scheme::Baseline),
-            ("PACStack-nomask", Scheme::PacStackNomask),
-            ("PACStack", Scheme::PacStack),
-        ] {
-            let result = ssl_tps(scheme, workers, 10, 42);
+    let configurations = [
+        ("baseline", Scheme::Baseline),
+        ("PACStack-nomask", Scheme::PacStackNomask),
+        ("PACStack", Scheme::PacStack),
+    ];
+    let schemes = configurations.map(|(_, scheme)| scheme);
+    let workers = [4u32, 8];
+    for (cells, workers) in ssl_tps(&schemes, &workers, 10, 42).iter().zip(workers) {
+        let baseline = &cells[0];
+        for ((label, _), result) in configurations.iter().zip(cells) {
             let loss = (1.0 - result.mean_tps / baseline.mean_tps) * 100.0;
             println!(
                 "{:>8} {:<18} {:>14.0} {:>10.0} {:>7.1}%",

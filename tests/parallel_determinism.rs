@@ -125,9 +125,7 @@ fn guessing_and_online_means_are_identical_across_job_counts() {
 /// worker count.
 #[test]
 fn ssl_tps_is_identical_across_job_counts() {
-    let tps = || {
-        [Scheme::Baseline, Scheme::PacStack]
-            .map(|scheme| pacstack::workloads::nginx::ssl_tps(scheme, 4, 6, 42))
-    };
+    let tps =
+        || pacstack::workloads::nginx::ssl_tps(&[Scheme::Baseline, Scheme::PacStack], &[4], 6, 42);
     assert_deterministic("ssl_tps", &[2, 4], tps);
 }
