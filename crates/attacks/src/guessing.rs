@@ -117,11 +117,11 @@ pub fn reseeded(b: u32, seed: u64) -> GuessCost {
 /// Averages a per-seed cost function over seeds `0..runs`, fanning the
 /// campaigns across the [`pacstack_exec`] worker pool (each campaign is a
 /// pure function of its seed, so the mean is identical at any thread
-/// count).
-pub fn mean_cost<F: Fn(u64) -> u64 + Sync>(runs: u64, f: F) -> f64 {
+/// count). The engine call is recorded as `"<label> runs=<runs>"`.
+pub fn mean_cost<F: Fn(u64) -> u64 + Sync>(label: &str, runs: u64, f: F) -> f64 {
     use pacstack_exec as exec;
     let run = exec::run_trials(STREAM_MEAN_COST, runs, |i, _rng| f(i));
-    exec::stats::record(format!("guessing mean-cost runs={runs}"), run.stats);
+    exec::stats::record(format!("{label} runs={runs}"), run.stats);
     run.results.iter().sum::<u64>() as f64 / runs as f64
 }
 
@@ -133,7 +133,7 @@ mod tests {
     #[test]
     fn divide_and_conquer_costs_about_2_to_b() {
         let b = 10;
-        let mean = mean_cost(200, |s| divide_and_conquer(b, s).total());
+        let mean = mean_cost("test", 200, |s| divide_and_conquer(b, s).total());
         let expected = security::expected_guesses_shared_key(b); // 2^b
         assert!(
             mean > expected * 0.8 && mean < expected * 1.2,
@@ -144,8 +144,8 @@ mod tests {
     #[test]
     fn reseeding_doubles_the_cost() {
         let b = 8;
-        let dc = mean_cost(300, |s| divide_and_conquer(b, s).total());
-        let rs = mean_cost(300, |s| reseeded(b, s).total());
+        let dc = mean_cost("test", 300, |s| divide_and_conquer(b, s).total());
+        let rs = mean_cost("test", 300, |s| reseeded(b, s).total());
         let ratio = rs / dc;
         assert!(
             ratio > 1.5 && ratio < 2.6,
@@ -156,7 +156,7 @@ mod tests {
     #[test]
     fn reseeded_cost_matches_2_to_b_plus_1() {
         let b = 8;
-        let mean = mean_cost(400, |s| reseeded(b, s).total());
+        let mean = mean_cost("test", 400, |s| reseeded(b, s).total());
         let expected = security::expected_guesses_reseeded(b); // 2^(b+1)
         assert!(
             mean > expected * 0.8 && mean < expected * 1.25,
@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn single_process_guessing_is_geometric() {
         let b = 6;
-        let mean = mean_cost(400, |s| single_process(b, s));
+        let mean = mean_cost("test", 400, |s| single_process(b, s));
         let expected = 2f64.powi(b as i32); // geometric mean 2^b
         assert!(
             mean > expected * 0.75 && mean < expected * 1.3,
@@ -179,7 +179,7 @@ mod tests {
     fn stages_are_individually_half_the_shared_key_cost() {
         let b = 9;
         let runs = 300;
-        let s1 = mean_cost(runs, |s| divide_and_conquer(b, s).stage_one);
+        let s1 = mean_cost("test", runs, |s| divide_and_conquer(b, s).stage_one);
         let expected = 2f64.powi(b as i32 - 1); // 2^(b-1)
         assert!(
             s1 > expected * 0.8 && s1 < expected * 1.2,

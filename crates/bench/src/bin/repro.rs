@@ -20,11 +20,11 @@
 //! repro trace      deterministic telemetry capture + export (not part of `all`)
 //! ```
 //!
-//! `repro perf` accepts `--quick` (a fast smoke variant for CI) and
-//! `--out <file>` (where to write the bench JSON; default `BENCH_pr9.json`).
-//! Each row's "before" is its "after" in the newest committed
-//! `BENCH_pr<N>.json` that has the row. It re-executes this binary to time whole runs, with
-//! and without `PACSTACK_TELEMETRY=1`, and byte-compares their stdout.
+//! `repro perf` takes one setting, `--out <file>` (where to write the bench
+//! JSON; default `BENCH_pr10.json`). Every row's "before" is its "after" in
+//! the highest-numbered `BENCH_pr<N>.json` other than `--out`. It
+//! re-executes this binary to time whole runs, with and without
+//! `PACSTACK_TELEMETRY=1`, and byte-compares their stdout.
 //!
 //! `repro trace` enables the telemetry sink, drives a fixed scenario
 //! through every instrumented layer, prints a summary plus the Prometheus
@@ -251,8 +251,12 @@ fn main() -> ExitCode {
             }
         }
         "perf" => {
-            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr9.json"));
-            if let Err(e) = perf::run(quick, &out) {
+            if quick {
+                eprintln!("--quick applies to `repro trace` only; `repro perf` has one mode");
+                return ExitCode::FAILURE;
+            }
+            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr10.json"));
+            if let Err(e) = perf::run(&out) {
                 eprintln!("perf harness failed: {e}");
                 return ExitCode::FAILURE;
             }

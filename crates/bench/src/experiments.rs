@@ -311,11 +311,15 @@ pub fn guessing_costs(widths: &[u32], runs: u64) -> Vec<GuessingRow> {
         .iter()
         .map(|&b| GuessingRow {
             b,
-            shared_key_mean: guessing::mean_cost(runs, |s| {
-                guessing::divide_and_conquer(b, s).total()
-            }),
+            shared_key_mean: guessing::mean_cost(
+                &format!("guessing shared-key b={b}"),
+                runs,
+                |s| guessing::divide_and_conquer(b, s).total(),
+            ),
             shared_key_analytic: security::expected_guesses_shared_key(b),
-            reseeded_mean: guessing::mean_cost(runs, |s| guessing::reseeded(b, s).total()),
+            reseeded_mean: guessing::mean_cost(&format!("guessing re-seeded b={b}"), runs, |s| {
+                guessing::reseeded(b, s).total()
+            }),
             reseeded_analytic: security::expected_guesses_reseeded(b),
         })
         .collect()
@@ -337,37 +341,36 @@ pub struct AttackMatrixRow {
 /// Runs the qualitative attacks (ROP, reuse, signing gadget) against every
 /// scheme — the reproduction of §2, §6.1 and §6.3.1.
 pub fn attack_matrix() -> Vec<AttackMatrixRow> {
-    let lr_overwrite = exec::parallel_map(&Scheme::ALL, |_, &s| {
-        (s, rop::run_attack(s, rop::WriteTarget::SavedReturnAddress))
-    });
-    let linear = exec::parallel_map(&Scheme::ALL, |_, &s| {
-        (s, rop::run_attack(s, rop::WriteTarget::LinearOverflow))
-    });
-    let reuse_same =
-        exec::parallel_map(&Scheme::ALL, |_, &s| (s, reuse::run_reuse(s, true).outcome));
-    let tail_gadget = exec::parallel_map(&[Scheme::PacStackNomask, Scheme::PacStack], |_, &s| {
-        (s, gadget::tail_call_gadget_attack(s))
-    });
-    exec::stats::record("attack matrix", lr_overwrite.stats);
-    let (lr_overwrite, linear) = (lr_overwrite.results, linear.results);
-    let (reuse_same, tail_gadget) = (reuse_same.results, tail_gadget.results);
+    let row = |attack: &'static str, run: exec::Run<(Scheme, rop::AttackOutcome)>| {
+        exec::stats::record(format!("attack matrix: {attack}"), run.stats);
+        AttackMatrixRow {
+            attack,
+            outcomes: run.results,
+        }
+    };
     vec![
-        AttackMatrixRow {
-            attack: "return-address overwrite",
-            outcomes: lr_overwrite,
-        },
-        AttackMatrixRow {
-            attack: "linear stack overflow",
-            outcomes: linear,
-        },
-        AttackMatrixRow {
-            attack: "signed-pointer reuse (same SP)",
-            outcomes: reuse_same,
-        },
-        AttackMatrixRow {
-            attack: "tail-call signing gadget",
-            outcomes: tail_gadget,
-        },
+        row(
+            "return-address overwrite",
+            exec::parallel_map(&Scheme::ALL, |_, &s| {
+                (s, rop::run_attack(s, rop::WriteTarget::SavedReturnAddress))
+            }),
+        ),
+        row(
+            "linear stack overflow",
+            exec::parallel_map(&Scheme::ALL, |_, &s| {
+                (s, rop::run_attack(s, rop::WriteTarget::LinearOverflow))
+            }),
+        ),
+        row(
+            "signed-pointer reuse (same SP)",
+            exec::parallel_map(&Scheme::ALL, |_, &s| (s, reuse::run_reuse(s, true).outcome)),
+        ),
+        row(
+            "tail-call signing gadget",
+            exec::parallel_map(&[Scheme::PacStackNomask, Scheme::PacStack], |_, &s| {
+                (s, gadget::tail_call_gadget_attack(s))
+            }),
+        ),
     ]
 }
 

@@ -1,12 +1,12 @@
 //! The `repro perf` harness: one measurement per row of the current code,
-//! compared with the newest committed bench file that has the row.
+//! compared with the previous committed bench file.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr9.json`). A
-//! row's *before* is that row's *after* in the newest `BENCH_pr<N>.json`
-//! of the working directory that has the row (highest `N`, the `--out`
-//! file excluded), so the committed files form a performance trajectory
-//! even when quick-mode and full-mode files alternate:
+//! and written as machine-readable JSON (default `BENCH_pr10.json`). Every
+//! row's *before* is that row's *after* in one file: the highest-numbered
+//! `BENCH_pr<N>.json` of the working directory other than the `--out`
+//! file. A row that file lacks has no *before*. The committed files thus
+//! form a performance trajectory:
 //!
 //! * **`qarma64_encrypt`** — QARMA-64 encryptions per second through a
 //!   prebuilt instance on the dispatched fast path (SSSE3 where the CPU has
@@ -18,19 +18,16 @@
 //!   the IA cipher.
 //! * **`pac_insns`** — retired PAC instructions per second on the full CPU
 //!   model running a sign/authenticate loop with the PAC memo cache on.
-//! * **`repro_<target>_wall_jobs1`**, **`repro_<target>_wall_jobsauto`** —
-//!   end-to-end wall time of the experiment driver, re-executed as a child
-//!   process with the telemetry sink off (`all`, or `table1` with
-//!   `--quick`; the auto-jobs row only in full mode). The two runs' stdout
-//!   is byte-compared.
-//! * **`repro_table3_wall_jobs1`**, **`repro_figure5_wall_jobs1`** — full
-//!   mode only: the two workload-simulation experiments alone at
-//!   `--jobs 1`, telemetry off.
-//! * **`repro_<target>_wall_telemetry_on`** — the same `--jobs 1` run with
-//!   the sink enabled (`PACSTACK_TELEMETRY=1`); its stdout must equal the
+//! * **`repro_all_wall_jobs1`**, **`repro_all_wall_jobsauto`** — end-to-end
+//!   wall time of `repro all`, re-executed as a child process with the
+//!   telemetry sink off. The two runs' stdout is byte-compared.
+//! * **`repro_all_wall_telemetry_on`** — the same `--jobs 1` run with the
+//!   sink enabled (`PACSTACK_TELEMETRY=1`); its stdout must equal the
 //!   sink-off run's byte for byte.
+//! * **`repro_<exp>_wall_jobs1`** for each of [`EXPERIMENTS`] — one
+//!   experiment alone at `--jobs 1`, telemetry off.
 //!
-//! The sink-off `--jobs 1` row is also gated against its baseline: more
+//! The `repro_all_wall_jobs1` row is also gated against its baseline: more
 //! than [`CROSS_RUN_NOISE`] times slower is an error.
 //!
 //! All timings use a monotonic clock on the current machine.
@@ -45,15 +42,13 @@ use std::path::Path;
 use std::process::{Command, Stdio};
 use std::time::Instant;
 
-/// One row of the bench JSON, serialised verbatim (all but `before_file`).
+/// One row of the bench JSON, serialised verbatim.
 #[derive(Debug, Clone)]
 pub struct PerfRecord {
     /// Benchmark name (stable across PRs, so trajectories can be compared).
     pub bench: String,
-    /// The row's `after` in the newest bench file that has the row.
+    /// The row's `after` in the baseline bench file, if that file has it.
     pub before: Option<f64>,
-    /// The bench file `before` was read from.
-    pub before_file: Option<String>,
     /// The current path's score.
     pub after: f64,
     /// Unit of both scores: `ops_per_s` (higher is better) or `ms` (lower
@@ -69,7 +64,6 @@ impl PerfRecord {
         Self {
             bench: bench.into(),
             before: None,
-            before_file: None,
             after,
             unit,
             jobs,
@@ -86,14 +80,8 @@ impl PerfRecord {
     }
 }
 
-/// Milliseconds of sustained measurement per row.
-fn target_ms(quick: bool) -> u128 {
-    if quick {
-        40
-    } else {
-        400
-    }
-}
+/// Milliseconds of sustained measurement per rate row.
+const TARGET_MS: u128 = 400;
 
 /// Measures the sustained rate of `f` in operations per second: batches of
 /// `batch` calls are timed until `target_ms` of wall time has accumulated.
@@ -122,19 +110,19 @@ fn measure_rate<F: FnMut(u64) -> u64>(batch: u64, target_ms: u128, mut f: F) -> 
 
 /// QARMA-64 throughput through a prebuilt schedule on the path `encrypt`
 /// dispatches to (SSSE3 on x86-64 CPUs that have it, packed SWAR otherwise).
-fn bench_qarma(quick: bool) -> PerfRecord {
+fn bench_qarma() -> PerfRecord {
     let cipher = Qarma64::recommended(Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9));
-    let after = measure_rate(4096, target_ms(quick), |i| {
+    let after = measure_rate(4096, TARGET_MS, |i| {
         cipher.encrypt(0xfb623599da6e8127 ^ i, 0x477d469dec0b8762)
     });
     PerfRecord::new("qarma64_encrypt", after, "ops_per_s", 1)
 }
 
 /// PAC computation throughput through the per-key cached cipher.
-fn bench_pac_compute(quick: bool) -> PerfRecord {
+fn bench_pac_compute() -> PerfRecord {
     let pa = PointerAuth::new(VaLayout::default());
     let keys = PaKeys::from_seed(1);
-    let after = measure_rate(4096, target_ms(quick), |i| {
+    let after = measure_rate(4096, TARGET_MS, |i| {
         pa.compute_pac(&keys, PaKey::Ia, 0x40_1000 ^ (i << 4), i)
     });
     PerfRecord::new("pac_compute", after, "ops_per_s", 1)
@@ -142,9 +130,9 @@ fn bench_pac_compute(quick: bool) -> PerfRecord {
 
 /// Fresh keys plus their first IA MAC per operation — key generation and
 /// the lazy IA cipher schedule, the set-up cost of one Table 1 trial.
-fn bench_pakeys_first_pac(quick: bool) -> PerfRecord {
+fn bench_pakeys_first_pac() -> PerfRecord {
     let pa = PointerAuth::new(VaLayout::default());
-    let after = measure_rate(512, target_ms(quick), |i| {
+    let after = measure_rate(512, TARGET_MS, |i| {
         let keys = PaKeys::from_seed(i);
         pa.compute_pac(&keys, PaKey::Ia, 0x40_1000, i)
     });
@@ -173,8 +161,8 @@ fn pac_loop_program(iterations: u64) -> Program {
 }
 
 /// Retired PAC instructions per second on the CPU model, memo on.
-fn bench_pac_insns(quick: bool) -> PerfRecord {
-    let iterations: u64 = if quick { 20_000 } else { 200_000 };
+fn bench_pac_insns() -> PerfRecord {
+    let iterations: u64 = 200_000;
     let mut cpu = Cpu::with_seed(pac_loop_program(iterations), 3);
     let start = Instant::now();
     let outcome = cpu
@@ -237,49 +225,31 @@ fn baseline_after(json: &str, bench: &str) -> Option<f64> {
     tail[..end].trim().parse().ok()
 }
 
-/// Orders the baseline candidates among the working directory's file
-/// names: every `BENCH_pr<N>.json`, highest `N` first (compared as
-/// numbers), skipping `out` (the file this run is about to write).
-fn baseline_files<'a>(names: impl IntoIterator<Item = &'a str>, out: &Path) -> Vec<&'a str> {
+/// Picks the baseline among the working directory's file names: the
+/// `BENCH_pr<N>.json` with the highest `N` (compared as numbers), skipping
+/// `out` (the file this run is about to write).
+fn baseline_file<'a>(names: impl IntoIterator<Item = &'a str>, out: &Path) -> Option<&'a str> {
     let out = out.strip_prefix(".").unwrap_or(out);
-    let mut files: Vec<(u64, &str)> = names
+    names
         .into_iter()
         .filter(|name| Path::new(name) != out)
         .filter_map(|name| {
             let n = name.strip_prefix("BENCH_pr")?.strip_suffix(".json")?;
             Some((n.parse::<u64>().ok()?, name))
         })
-        .collect();
-    files.sort_unstable_by_key(|&(n, _)| std::cmp::Reverse(n));
-    files.into_iter().map(|(_, name)| name).collect()
+        .max_by_key(|&(n, _)| n)
+        .map(|(_, name)| name)
 }
 
-/// Sets each record's `before` to its row's `after` in the first of
-/// `files` (`(name, contents)`, newest first) that has the row; rows no
-/// file has get no `before`.
-fn apply_baselines(records: &mut [PerfRecord], files: &[(String, String)]) {
-    for r in records {
-        let found = files
-            .iter()
-            .find_map(|(name, json)| Some((baseline_after(json, &r.bench)?, name)));
-        r.before = found.map(|(after, _)| after);
-        r.before_file = found.map(|(_, name)| name.clone());
-    }
-}
-
-/// Reads the baseline bench files from the working directory as
-/// `(file name, contents)`, newest first.
-fn read_baselines(out: &Path) -> Vec<(String, String)> {
+/// Reads the baseline bench file of the working directory as
+/// `(file name, contents)`.
+fn read_baseline(out: &Path) -> Option<(String, String)> {
     let names: Vec<String> = std::fs::read_dir(".")
-        .map(|dir| {
-            dir.filter_map(|entry| entry.ok()?.file_name().into_string().ok())
-                .collect()
-        })
-        .unwrap_or_default();
-    baseline_files(names.iter().map(String::as_str), out)
-        .into_iter()
-        .filter_map(|name| Some((name.to_owned(), std::fs::read_to_string(name).ok()?)))
-        .collect()
+        .ok()?
+        .filter_map(|entry| entry.ok()?.file_name().into_string().ok())
+        .collect();
+    let name = baseline_file(names.iter().map(String::as_str), out)?;
+    Some((name.to_owned(), std::fs::read_to_string(name).ok()?))
 }
 
 /// Serialises the records as a JSON array matching the committed
@@ -305,19 +275,15 @@ fn to_json(records: &[PerfRecord]) -> String {
     s
 }
 
-/// Formats the human-readable results table; each row names the bench
-/// file its `before` came from.
-fn render_table(records: &[PerfRecord], quick: bool) -> String {
+/// Formats the human-readable results table; the header names the bench
+/// file every `before` came from.
+fn render_table(records: &[PerfRecord], baseline: &str) -> String {
     let mut s = String::new();
+    let _ = writeln!(s, "Performance, before = {baseline}");
     let _ = writeln!(
         s,
-        "Performance{}, before = the row in the newest BENCH_pr<N>.json that has it",
-        if quick { " (quick mode)" } else { "" },
-    );
-    let _ = writeln!(
-        s,
-        "{:<32} {:>14} {:>14} {:>9}  {:<9} from",
-        "bench", "before", "after", "speedup", "unit"
+        "{:<32} {:>14} {:>14} {:>9}  unit",
+        "bench", "before", "after", "speedup"
     );
     for r in records {
         let before = r
@@ -328,85 +294,85 @@ fn render_table(records: &[PerfRecord], quick: bool) -> String {
             .map_or_else(|| "-".to_owned(), |f| format!("{f:.2}x"));
         let _ = writeln!(
             s,
-            "{:<32} {:>14} {:>14.0} {:>9}  {:<9} {}",
-            r.bench,
-            before,
-            r.after,
-            speedup,
-            r.unit,
-            r.before_file.as_deref().unwrap_or("-")
+            "{:<32} {:>14} {:>14.0} {:>9}  {}",
+            r.bench, before, r.after, speedup, r.unit
         );
     }
     s
 }
 
-/// Runs the full perf suite (or the `--quick` smoke variant), prints the
-/// table to stdout and writes the JSON trajectory file to `out`.
+/// The experiments timed alone, one `repro <exp> --jobs 1` child each:
+/// the ones the benchmark's workloads run.
+const EXPERIMENTS: [&str; 4] = ["table1", "figure5", "table3", "faults"];
+
+/// Runs the perf suite, prints the table to stdout and writes the JSON
+/// trajectory file to `out`.
 ///
 /// # Errors
 ///
 /// Returns a message when the child `repro` processes cannot be spawned,
 /// when their stdout differs between job counts or telemetry settings, or
-/// when the `--jobs 1` wall time exceeds the baseline's by more than
-/// [`CROSS_RUN_NOISE`].
-pub fn run(quick: bool, out: &Path) -> Result<(), String> {
-    // Quick mode: one representative experiment, sequential only.
-    let target = if quick { "table1" } else { "all" };
+/// when the `repro all --jobs 1` wall time exceeds the baseline's by more
+/// than [`CROSS_RUN_NOISE`].
+pub fn run(out: &Path) -> Result<(), String> {
     let mut records = vec![
-        bench_qarma(quick),
-        bench_pac_compute(quick),
-        bench_pakeys_first_pac(quick),
-        bench_pac_insns(quick),
+        bench_qarma(),
+        bench_pac_compute(),
+        bench_pakeys_first_pac(),
+        bench_pac_insns(),
     ];
-    let (off_out, off) = bench_e2e(target, 1, false)?;
+    let (off_out, off) = bench_e2e("all", 1, false)?;
     records.push(off);
-    if !quick {
-        let (auto_out, auto) = bench_e2e(target, 0, false)?;
-        if auto_out != off_out {
-            return Err(format!(
-                "determinism gate FAILED: `repro {target}` stdout differs between \
-                 --jobs 1 and auto jobs ({} vs {} bytes)",
-                off_out.len(),
-                auto_out.len()
-            ));
-        }
-        records.push(auto);
+    let (auto_out, auto) = bench_e2e("all", 0, false)?;
+    if auto_out != off_out {
+        return Err(format!(
+            "determinism gate FAILED: `repro all` stdout differs between \
+             --jobs 1 and auto jobs ({} vs {} bytes)",
+            off_out.len(),
+            auto_out.len()
+        ));
     }
-    let (on_out, on) = bench_e2e(target, 1, true)?;
+    records.push(auto);
+    let (on_out, on) = bench_e2e("all", 1, true)?;
     if on_out != off_out {
         return Err(format!(
-            "telemetry gate FAILED: `repro {target}` stdout differs with the sink \
+            "telemetry gate FAILED: `repro all` stdout differs with the sink \
              enabled vs disabled ({} vs {} bytes) — instrumentation changed results",
             on_out.len(),
             off_out.len()
         ));
     }
     records.push(on);
-    if !quick {
-        // The workload-simulation experiments alone, for per-experiment rows.
-        for experiment in ["table3", "figure5"] {
-            records.push(bench_e2e(experiment, 1, false)?.1);
-        }
+    for experiment in EXPERIMENTS {
+        records.push(bench_e2e(experiment, 1, false)?.1);
     }
 
-    apply_baselines(&mut records, &read_baselines(out));
-    let gated = format!("repro_{target}_wall_jobs1");
+    let baseline = read_baseline(out);
+    for r in &mut records {
+        r.before = baseline
+            .as_ref()
+            .and_then(|(_, json)| baseline_after(json, &r.bench));
+    }
+    let name = baseline
+        .as_ref()
+        .map_or("no BENCH_pr<N>.json", |(name, _)| name.as_str());
+    let gated = "repro_all_wall_jobs1";
     let row = records.iter().find(|r| r.bench == gated);
-    match row.and_then(|r| Some((r.before?, r.after, r.before_file.as_deref()?))) {
-        Some((before, after, name)) if after > before * CROSS_RUN_NOISE => {
+    match row.and_then(|r| Some((r.before?, r.after))) {
+        Some((before, after)) if after > before * CROSS_RUN_NOISE => {
             return Err(format!(
-                "cross-run gate FAILED: `repro {target} --jobs 1` took {after:.0} ms, \
+                "cross-run gate FAILED: `repro all --jobs 1` took {after:.0} ms, \
                  more than {CROSS_RUN_NOISE}x the {before:.0} ms in {name}"
             ));
         }
-        Some((before, after, name)) => eprintln!(
+        Some((before, after)) => eprintln!(
             "cross-run gate: {gated} {after:.0} ms within {CROSS_RUN_NOISE}x of \
              {before:.0} ms in {name}"
         ),
-        None => eprintln!("no BENCH_pr<N>.json has a {gated} entry; skipping cross-run gate"),
+        None => eprintln!("{name} has no {gated} entry; skipping cross-run gate"),
     }
 
-    print!("{}", render_table(&records, quick));
+    print!("{}", render_table(&records, name));
     println!("telemetry gate: enabled and disabled sinks produced byte-identical stdout");
     std::fs::write(out, to_json(&records))
         .map_err(|e| format!("cannot write {}: {e}", out.display()))?;
@@ -466,27 +432,24 @@ mod tests {
     }
 
     #[test]
-    fn baseline_files_are_ordered_newest_first() {
-        let out = Path::new("bench-quick.json");
+    fn baseline_is_the_highest_numbered_bench_file() {
+        let out = Path::new("bench-ci.json");
         let names = ["BENCH_pr7.json", "BENCH_pr10.json", "BENCH_pr3.json"];
-        // A lexicographic sort would put pr7 first.
-        assert_eq!(
-            baseline_files(names, out),
-            ["BENCH_pr10.json", "BENCH_pr7.json", "BENCH_pr3.json"]
-        );
-        assert!(baseline_files(["README.md"], out).is_empty());
+        // A lexicographic comparison would pick pr7.
+        assert_eq!(baseline_file(names, out), Some("BENCH_pr10.json"));
+        assert_eq!(baseline_file(["README.md"], out), None);
     }
 
     #[test]
     fn baseline_skips_the_out_file() {
         let names = ["BENCH_pr7.json", "BENCH_pr8.json"];
         assert_eq!(
-            baseline_files(names, Path::new("BENCH_pr8.json")),
-            ["BENCH_pr7.json"]
+            baseline_file(names, Path::new("BENCH_pr8.json")),
+            Some("BENCH_pr7.json")
         );
         assert_eq!(
-            baseline_files(names, Path::new("./BENCH_pr8.json")),
-            ["BENCH_pr7.json"]
+            baseline_file(names, Path::new("./BENCH_pr8.json")),
+            Some("BENCH_pr7.json")
         );
     }
 
@@ -494,68 +457,13 @@ mod tests {
     fn baseline_ignores_other_file_names() {
         let names = [
             "BENCH_pr3.json.bak",
-            "bench-quick.json",
+            "bench-ci.json",
             "BENCH_prX.json",
             "BENCH_pr4.json",
         ];
         assert_eq!(
-            baseline_files(names, Path::new("BENCH_pr8.json")),
-            ["BENCH_pr4.json"]
-        );
-    }
-
-    #[test]
-    fn rows_missing_from_every_baseline_get_no_before() {
-        let json = to_json(&[with_before("pac_compute", 1.0, 900.0, "ops_per_s")]);
-        let row = |bench: &str| PerfRecord::new(bench, 1000.0, "ops_per_s", 1);
-        let mut records = vec![row("pac_compute"), row("repro_all_wall_telemetry_on")];
-        apply_baselines(&mut records, &[("BENCH_pr8.json".into(), json)]);
-        assert_eq!(records[0].before, Some(900.0));
-        assert_eq!(records[0].before_file.as_deref(), Some("BENCH_pr8.json"));
-        assert_eq!(records[1].before, None);
-        assert_eq!(records[1].before_file, None);
-    }
-
-    #[test]
-    fn each_row_takes_the_newest_file_that_has_it() {
-        // pr7 is a quick-mode file (table1 rows), pr8 a full-mode one (all
-        // rows only): a quick run still finds its gated table1 baseline.
-        let pr7 = to_json(&[
-            PerfRecord::new("pac_compute", 9.0e6, "ops_per_s", 1),
-            PerfRecord::new("repro_table1_wall_jobs1", 506.7, "ms", 1),
-            PerfRecord::new("repro_table1_wall_telemetry_on", 530.0, "ms", 1),
-        ]);
-        let pr8 = to_json(&[
-            PerfRecord::new("pac_compute", 1.1e7, "ops_per_s", 1),
-            PerfRecord::new("repro_all_wall_jobs1", 2496.0, "ms", 1),
-            PerfRecord::new("repro_all_wall_jobsauto", 1800.0, "ms", 0),
-        ]);
-        let files = [
-            ("BENCH_pr8.json".into(), pr8),
-            ("BENCH_pr7.json".into(), pr7),
-        ];
-        let row = |bench: &str| PerfRecord::new(bench, 1.0, "ms", 1);
-        let mut records = vec![
-            row("pac_compute"),
-            row("repro_table1_wall_jobs1"),
-            row("repro_table1_wall_telemetry_on"),
-            row("repro_all_wall_jobs1"),
-            row("repro_all_wall_jobsauto"),
-        ];
-        apply_baselines(&mut records, &files);
-        let got: Vec<_> = records
-            .iter()
-            .map(|r| (r.before, r.before_file.as_deref()))
-            .collect();
-        assert_eq!(
-            got,
-            [
-                (Some(1.1e7), Some("BENCH_pr8.json")),
-                (Some(506.7), Some("BENCH_pr7.json")),
-                (Some(530.0), Some("BENCH_pr7.json")),
-                (Some(2496.0), Some("BENCH_pr8.json")),
-                (Some(1800.0), Some("BENCH_pr8.json")),
-            ]
+            baseline_file(names, Path::new("BENCH_pr8.json")),
+            Some("BENCH_pr4.json")
         );
     }
 

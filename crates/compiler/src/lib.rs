@@ -45,7 +45,7 @@ pub mod unwind;
 
 pub use ir::{FuncDef, Module, Stmt};
 pub use lower::{
-    frame, jmp_buf_addr, lower, lower_mixed, lower_mixed_with_options, lower_with_options,
-    LowerOptions, CANARY, CANARY_FAIL_EXIT, JMP_BUF_BASE, JMP_BUF_SIZE,
+    frame, jmp_buf_addr, lower, lower_mixed, lower_with_options, LowerOptions, CANARY,
+    CANARY_FAIL_EXIT, JMP_BUF_BASE, JMP_BUF_SIZE,
 };
 pub use scheme::Scheme;

@@ -114,12 +114,9 @@ pub fn lower_mixed(
     lower_mixed_with_options(module, default, overrides, LowerOptions::default())
 }
 
-/// [`lower_mixed`] with explicit [`LowerOptions`].
-///
-/// # Panics
-///
-/// As for [`lower_mixed`].
-pub fn lower_mixed_with_options(
+/// The body behind [`lower_with_options`] and [`lower_mixed`]: overrides and
+/// options together. Panics as [`lower_mixed`] does.
+fn lower_mixed_with_options(
     module: &Module,
     default: Scheme,
     overrides: &HashMap<String, Scheme>,

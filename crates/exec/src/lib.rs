@@ -162,17 +162,6 @@ impl ExecStats {
             (self.busy.as_secs_f64() / capacity).min(1.0)
         }
     }
-
-    /// Effective parallelism: CPU time over wall time (≈ jobs when the
-    /// pool is saturated, 1.0 when sequential).
-    pub fn effective_parallelism(&self) -> f64 {
-        let wall = self.wall.as_secs_f64();
-        if wall == 0.0 {
-            1.0
-        } else {
-            self.busy.as_secs_f64() / wall
-        }
-    }
 }
 
 /// Results plus statistics from one engine invocation.
@@ -420,7 +409,6 @@ mod tests {
         assert!(run.stats.jobs <= 2);
         assert!(run.stats.trials_per_sec() > 0.0);
         assert!(run.stats.utilization() <= 1.0);
-        assert!(run.stats.effective_parallelism() > 0.0);
     }
 
     #[test]

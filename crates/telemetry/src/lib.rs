@@ -51,7 +51,7 @@ pub mod ring;
 pub mod span;
 
 pub use metrics::CycleHistogram;
-pub use recorder::{Merged, Recorder, Sink};
+pub use recorder::{Merged, Recorder};
 pub use ring::Ring;
 pub use span::SpanEvent;
 
@@ -164,7 +164,7 @@ fn store() -> std::sync::MutexGuard<'static, Store> {
 /// Runs `f` against the innermost active sink on this thread: the open task
 /// recorder if one exists, the thread's ambient recorder otherwise.
 /// No-op when telemetry is disabled.
-pub fn with_sink(f: impl FnOnce(&mut Recorder)) {
+fn with_sink(f: impl FnOnce(&mut Recorder)) {
     if !enabled() {
         return;
     }
@@ -198,7 +198,7 @@ pub fn in_task<T>(invocation: u64, index: u64, f: impl FnOnce() -> T) -> T {
 /// Flushes this thread's ambient recorder into the global store under a
 /// fresh order slot. Called by [`snapshot`] for the driver thread; worker
 /// threads record exclusively inside task scopes and never need it.
-pub fn flush_ambient() {
+fn flush_ambient() {
     let rec = AMBIENT.with(|ambient| std::mem::take(&mut *ambient.borrow_mut()));
     if !rec.is_empty() {
         let order = ORDER.fetch_add(1, Ordering::SeqCst);

@@ -1,24 +1,9 @@
-//! The [`Sink`] trait, the per-task [`Recorder`], and the merged view.
+//! The per-task [`Recorder`] and the merged view.
 
 use std::collections::BTreeMap;
 
 use crate::metrics::CycleHistogram;
 use crate::span::SpanEvent;
-
-/// Destination for telemetry records. Instrumentation sites are written
-/// against this trait so tests can capture into a local recorder while
-/// production code records through the thread-local scope machinery in the
-/// crate root.
-pub trait Sink {
-    /// Adds `delta` to the named monotonic counter.
-    fn counter(&mut self, name: &str, delta: u64);
-    /// Records one observation into the named cycle-domain histogram.
-    fn observe_cycles(&mut self, name: &str, cycles: u64);
-    /// Records a completed span.
-    fn span(&mut self, event: SpanEvent);
-    /// Adds `self_cycles` to a semicolon-collapsed call-stack line.
-    fn stack(&mut self, frames: &str, self_cycles: u64);
-}
 
 /// A single task's (or thread's) private record buffer. Never shared:
 /// each trial gets a fresh one, so recording takes no locks; the engine
@@ -57,10 +42,9 @@ impl Recorder {
     ) {
         (self.counters, self.histograms, self.stacks, self.spans)
     }
-}
 
-impl Sink for Recorder {
-    fn counter(&mut self, name: &str, delta: u64) {
+    /// Adds `delta` to the named monotonic counter.
+    pub fn counter(&mut self, name: &str, delta: u64) {
         if let Some(v) = self.counters.get_mut(name) {
             *v += delta;
         } else {
@@ -68,7 +52,8 @@ impl Sink for Recorder {
         }
     }
 
-    fn observe_cycles(&mut self, name: &str, cycles: u64) {
+    /// Records one observation into the named cycle-domain histogram.
+    pub fn observe_cycles(&mut self, name: &str, cycles: u64) {
         if let Some(h) = self.histograms.get_mut(name) {
             h.observe(cycles);
         } else {
@@ -78,11 +63,13 @@ impl Sink for Recorder {
         }
     }
 
-    fn span(&mut self, event: SpanEvent) {
+    /// Records a completed span.
+    pub fn span(&mut self, event: SpanEvent) {
         self.spans.push(event);
     }
 
-    fn stack(&mut self, frames: &str, self_cycles: u64) {
+    /// Adds `self_cycles` to a semicolon-collapsed call-stack line.
+    pub fn stack(&mut self, frames: &str, self_cycles: u64) {
         if let Some(v) = self.stacks.get_mut(frames) {
             *v += self_cycles;
         } else {

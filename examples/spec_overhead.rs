@@ -6,7 +6,7 @@
 //! ```
 
 use pacstack::compiler::Scheme;
-use pacstack::workloads::measure::{overhead_percent, run_module};
+use pacstack::workloads::measure::run_module;
 use pacstack::workloads::spec::{c_benchmark, Suite, C_BENCHMARKS};
 
 fn main() {
@@ -37,7 +37,12 @@ fn main() {
         println!("  {:<28} {:>12} {:>10}", "scheme", "cycles", "overhead");
         for scheme in Scheme::ALL {
             let m = run_module(&module, scheme, 2_000_000_000);
-            let overhead = overhead_percent(&module, scheme, 2_000_000_000);
+            assert_eq!(
+                baseline.exit_code, m.exit_code,
+                "{scheme} changed program behaviour"
+            );
+            let overhead =
+                (m.cycles as f64 - baseline.cycles as f64) / baseline.cycles as f64 * 100.0;
             println!(
                 "  {:<28} {:>12} {:>9.2}%",
                 scheme.to_string(),

@@ -111,7 +111,7 @@ fn raw_attack_monte_carlos_are_identical_across_job_counts() {
 #[test]
 fn guessing_and_online_means_are_identical_across_job_counts() {
     let means = || {
-        let dac = pacstack::attacks::guessing::mean_cost(40, |i| {
+        let dac = pacstack::attacks::guessing::mean_cost("determinism", 40, |i| {
             pacstack::attacks::guessing::divide_and_conquer(6, 0xBEEF ^ i).total()
         });
         let online = pacstack::attacks::online::mean_attempts(Scheme::PacStack, 3, 8, 0xC0FFEE);
