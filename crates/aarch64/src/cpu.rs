@@ -10,6 +10,7 @@ use pacstack_pauth::{AuthFailure, PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack_telemetry as telemetry;
 use pacstack_telemetry::Ring;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// NZCV condition flags.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -166,15 +167,16 @@ fn pac_key_tag(key: PaKey) -> u8 {
 /// let mut cpu = Cpu::with_seed(p, 1);
 /// assert!(matches!(cpu.run(100), Err(Fault::TranslationFault { .. })));
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cpu {
     regs: RegisterFile,
     pc: u64,
     flags: Flags,
     mem: Memory,
-    image: Vec<Instruction>,
+    /// The linked program, which never changes: clones share it.
+    image: Arc<[Instruction]>,
     code_base: u64,
-    symbols: HashMap<String, u64>,
+    symbols: Arc<HashMap<String, u64>>,
     pa: PointerAuth,
     keys: PaKeys,
     /// Set when the key registers were corrupted out-of-band (fault
@@ -220,73 +222,6 @@ struct TelemetryMark {
     pac_hits: u64,
     pac_misses: u64,
     shadow_accesses: u64,
-}
-
-// Manual impl so snapshot restores can reuse allocations: `clone_from`
-// copies the memory image, instruction image and PAC memo into the buffers
-// the destination already owns. Fault-injection campaigns restore a base
-// snapshot before every trial, and with the derived impl that restore cost
-// was dominated by mapping and unmapping the ~3 MiB of fresh segments.
-// Every field must appear in BOTH methods; the struct-literal `clone`
-// keeps the list compiler-checked when fields are added.
-impl Clone for Cpu {
-    fn clone(&self) -> Self {
-        Self {
-            regs: self.regs.clone(),
-            pc: self.pc,
-            flags: self.flags,
-            mem: self.mem.clone(),
-            image: self.image.clone(),
-            code_base: self.code_base,
-            symbols: self.symbols.clone(),
-            pa: self.pa,
-            keys: self.keys.clone(),
-            keys_tainted: self.keys_tainted,
-            pac_cache: self.pac_cache.clone(),
-            key_epoch: self.key_epoch,
-            pac_memo: self.pac_memo,
-            pac_cache_stats: self.pac_cache_stats,
-            cost: self.cost,
-            cycles: self.cycles,
-            instructions: self.instructions,
-            counters: self.counters,
-            shadow_accesses: self.shadow_accesses,
-            output: self.output.clone(),
-            trace: self.trace.clone(),
-            profiler: self.profiler.clone(),
-            tmark: self.tmark,
-            pac_log: self.pac_log.clone(),
-            bti: self.bti,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.regs.clone_from(&source.regs);
-        self.pc = source.pc;
-        self.flags = source.flags;
-        self.mem.clone_from(&source.mem);
-        self.image.clone_from(&source.image);
-        self.code_base = source.code_base;
-        self.symbols.clone_from(&source.symbols);
-        self.pa = source.pa;
-        self.keys.clone_from(&source.keys);
-        self.keys_tainted = source.keys_tainted;
-        self.pac_cache.clone_from(&source.pac_cache);
-        self.key_epoch = source.key_epoch;
-        self.pac_memo = source.pac_memo;
-        self.pac_cache_stats = source.pac_cache_stats;
-        self.cost = source.cost;
-        self.cycles = source.cycles;
-        self.instructions = source.instructions;
-        self.counters = source.counters;
-        self.shadow_accesses = source.shadow_accesses;
-        self.output.clone_from(&source.output);
-        self.trace.clone_from(&source.trace);
-        self.profiler.clone_from(&source.profiler);
-        self.tmark = source.tmark;
-        self.pac_log.clone_from(&source.pac_log);
-        self.bti = source.bti;
-    }
 }
 
 impl Cpu {
@@ -353,9 +288,9 @@ impl Cpu {
             pc: image.entry,
             flags: Flags::default(),
             mem: Memory::with_standard_layout(),
-            image: image.instructions,
+            image: image.instructions.into(),
             code_base: LAYOUT.code_base,
-            symbols: image.symbols,
+            symbols: Arc::new(image.symbols),
             pa,
             keys,
             keys_tainted: false,

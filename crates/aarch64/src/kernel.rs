@@ -218,11 +218,17 @@ impl Scheduler {
     ///
     /// # Errors
     ///
-    /// [`Fault::NoSuchSymbol`] if `entry` is not defined by the program —
-    /// a reportable outcome, not a host-process abort.
+    /// [`Fault::NoSuchSymbol`] if `entry` is not defined by the program,
+    /// and [`Fault::AccessFault`] at the would-be stack base once the next
+    /// thread stack would overlap an existing mapping (the main stack,
+    /// after 120 threads) — reportable outcomes, not host-process aborts.
+    /// A refused spawn maps nothing.
     pub fn spawn(&mut self, cpu: &mut Cpu, entry: &str, chain_seed: u64) -> Result<(), Fault> {
         let entry_addr = cpu.symbol(entry).ok_or(Fault::NoSuchSymbol)?;
         let stack_base = self.next_stack;
+        if cpu.mem().overlaps(stack_base, THREAD_STACK_SIZE) {
+            return Err(Fault::AccessFault { addr: stack_base });
+        }
         self.next_stack += 2 * THREAD_STACK_SIZE; // guard gap between stacks
         cpu.mem_mut()
             .map(stack_base, THREAD_STACK_SIZE, crate::Perms::ReadWrite);

@@ -50,36 +50,59 @@ pub enum Perms {
     ReadWrite,
 }
 
-#[derive(Debug)]
+/// Bytes per page: the unit of allocation, and of copying when a CPU is
+/// cloned.
+const PAGE: usize = 4096;
+
+/// One mapping, stored as 4 KiB pages. A page that was never written is
+/// `None` and reads as zero; the first write allocates it.
+#[derive(Debug, Clone)]
 struct Segment {
     base: u64,
     perms: Perms,
-    bytes: Vec<u8>,
-}
-
-// Manual impl so `clone_from` copies into the existing byte buffer instead
-// of remapping it: segments are megabytes each, and per-trial snapshot
-// restores (fault injection) would otherwise spend their time in the
-// allocator rather than in the simulation.
-impl Clone for Segment {
-    fn clone(&self) -> Self {
-        Self {
-            base: self.base,
-            perms: self.perms,
-            bytes: self.bytes.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.base = source.base;
-        self.perms = source.perms;
-        self.bytes.clone_from(&source.bytes);
-    }
+    len: u64,
+    pages: Vec<Option<Box<[u8; PAGE]>>>,
 }
 
 impl Segment {
     fn contains(&self, addr: u64, len: u64) -> bool {
-        addr >= self.base && addr.saturating_add(len) <= self.base + self.bytes.len() as u64
+        addr >= self.base && addr.saturating_add(len) <= self.base + self.len
+    }
+
+    fn page_mut(&mut self, index: usize) -> &mut [u8; PAGE] {
+        self.pages[index].get_or_insert_with(|| Box::new([0; PAGE]))
+    }
+
+    /// Reads 8 bytes at segment offset `off`; an access that crosses a page
+    /// boundary goes byte by byte.
+    fn read_u64(&self, off: usize) -> u64 {
+        let at = off % PAGE;
+        let mut buf = [0u8; 8];
+        if at <= PAGE - 8 {
+            if let Some(page) = &self.pages[off / PAGE] {
+                buf.copy_from_slice(&page[at..at + 8]);
+            }
+        } else {
+            for (i, b) in buf.iter_mut().enumerate() {
+                let o = off + i;
+                *b = self.pages[o / PAGE]
+                    .as_ref()
+                    .map_or(0, |page| page[o % PAGE]);
+            }
+        }
+        u64::from_le_bytes(buf)
+    }
+
+    /// Writes 8 bytes at segment offset `off`, allocating the pages touched.
+    fn write_u64(&mut self, off: usize, value: u64) {
+        let at = off % PAGE;
+        if at <= PAGE - 8 {
+            self.page_mut(off / PAGE)[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        } else {
+            for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+                self.page_mut((off + i) / PAGE)[(off + i) % PAGE] = b;
+            }
+        }
     }
 }
 
@@ -89,6 +112,10 @@ impl Segment {
 /// segments fault (W⊕X, paper assumption A1); accesses through pointers
 /// with non-canonical high bits raise translation faults (the mechanism
 /// that converts a failed `aut*` into a crash).
+///
+/// Each segment is stored as 4 KiB pages, and a page that was never
+/// written reads as zero and takes no space; cloning copies only the
+/// written pages.
 ///
 /// # Examples
 ///
@@ -101,27 +128,10 @@ impl Segment {
 /// assert!(mem.write_u64(LAYOUT.code_base, 0).is_err()); // W^X
 /// # Ok::<(), pacstack_aarch64::Fault>(())
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Memory {
     layout: VaLayout,
     segments: Vec<Segment>,
-}
-
-// Manual impl for the same reason as [`Segment`]: `Vec::clone_from` clones
-// element-wise, so restoring a snapshot into an existing `Memory` of the
-// same shape reuses every segment allocation.
-impl Clone for Memory {
-    fn clone(&self) -> Self {
-        Self {
-            layout: self.layout,
-            segments: self.segments.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.layout = source.layout;
-        self.segments.clone_from(&source.segments);
-    }
 }
 
 impl Memory {
@@ -158,18 +168,24 @@ impl Memory {
     ///
     /// Panics if the segment would overlap an existing mapping.
     pub fn map(&mut self, base: u64, size: u64, perms: Perms) {
-        for seg in &self.segments {
-            let overlaps = base < seg.base + seg.bytes.len() as u64 && seg.base < base + size;
-            assert!(
-                !overlaps,
-                "segment {base:#x}+{size:#x} overlaps existing mapping"
-            );
-        }
+        assert!(
+            !self.overlaps(base, size),
+            "segment {base:#x}+{size:#x} overlaps existing mapping"
+        );
         self.segments.push(Segment {
             base,
             perms,
-            bytes: vec![0; size as usize],
+            len: size,
+            pages: vec![None; (size as usize).div_ceil(PAGE)],
         });
+    }
+
+    /// Whether `base..base + size` overlaps an existing mapping, i.e.
+    /// whether [`Memory::map`] would panic.
+    pub fn overlaps(&self, base: u64, size: u64) -> bool {
+        self.segments
+            .iter()
+            .any(|seg| base < seg.base + seg.len && seg.base < base + size)
     }
 
     /// The pointer layout used for canonicality checks.
@@ -207,10 +223,7 @@ impl Memory {
     pub fn read_u64(&self, addr: u64) -> Result<u64, Fault> {
         self.check_canonical(addr)?;
         let seg = self.segment(addr, 8)?;
-        let off = (addr - seg.base) as usize;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(&seg.bytes[off..off + 8]);
-        Ok(u64::from_le_bytes(buf))
+        Ok(seg.read_u64((addr - seg.base) as usize))
     }
 
     /// Writes a little-endian `u64`.
@@ -224,8 +237,7 @@ impl Memory {
         if seg.perms != Perms::ReadWrite {
             return Err(Fault::PermissionFault { addr });
         }
-        let off = (addr - seg.base) as usize;
-        seg.bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        seg.write_u64((addr - seg.base) as usize, value);
         Ok(())
     }
 
@@ -261,7 +273,7 @@ impl fmt::Display for Memory {
                 f,
                 "{:#010x}..{:#010x} {}",
                 seg.base,
-                seg.base + seg.bytes.len() as u64,
+                seg.base + seg.len,
                 match seg.perms {
                     Perms::ReadExecute => "r-x",
                     Perms::ReadWrite => "rw-",

@@ -1,7 +1,8 @@
 //! Differential property tests: random straight-line programs executed on
-//! the CPU must match a direct Rust evaluation of the same operations.
+//! the CPU must match a direct Rust evaluation of the same operations, and
+//! paged [`Memory`] must match a flat byte-array model.
 
-use pacstack_aarch64::{Cpu, Instruction as I, Program, Reg};
+use pacstack_aarch64::{Cpu, Fault, Instruction as I, Memory, Program, Reg, LAYOUT};
 use proptest::prelude::*;
 
 /// One random ALU operation on the accumulator.
@@ -133,5 +134,153 @@ proptest! {
         let mut cpu = Cpu::with_seed(p, 9);
         let outcome = cpu.run(100).expect("runs clean");
         prop_assert_eq!(outcome.exit_code, addr);
+    }
+}
+
+const PAGE: u64 = 4096;
+
+/// The standard layout as one flat, zero-filled byte array per segment,
+/// checked in the same order as [`Memory`]: canonical address, segment
+/// lookup (the whole access inside one segment), write permission.
+#[derive(Clone)]
+struct FlatMemory {
+    /// `(base, writable, bytes)` per segment.
+    segments: Vec<(u64, bool, Vec<u8>)>,
+}
+
+impl FlatMemory {
+    fn standard() -> Self {
+        let segment = |base: u64, size: u64, writable| (base, writable, vec![0; size as usize]);
+        Self {
+            segments: vec![
+                segment(LAYOUT.code_base, LAYOUT.code_size, false),
+                segment(LAYOUT.data_base, LAYOUT.data_size, true),
+                segment(
+                    LAYOUT.stack_top - LAYOUT.stack_size,
+                    LAYOUT.stack_size,
+                    true,
+                ),
+                segment(LAYOUT.shadow_stack_base, LAYOUT.shadow_stack_size, true),
+            ],
+        }
+    }
+
+    /// The segment index and offset of an 8-byte access, or its fault.
+    fn locate(&self, mem: &Memory, addr: u64) -> Result<(usize, usize), Fault> {
+        if !mem.va_layout().is_canonical(addr) {
+            return Err(Fault::TranslationFault { addr });
+        }
+        self.segments
+            .iter()
+            .position(|(base, _, bytes)| {
+                addr >= *base && addr.saturating_add(8) <= base + bytes.len() as u64
+            })
+            .map(|i| (i, (addr - self.segments[i].0) as usize))
+            .ok_or(Fault::AccessFault { addr })
+    }
+
+    fn read(&self, mem: &Memory, addr: u64) -> Result<u64, Fault> {
+        let (i, off) = self.locate(mem, addr)?;
+        let mut buf = [0u8; 8];
+        buf.copy_from_slice(&self.segments[i].2[off..off + 8]);
+        Ok(u64::from_le_bytes(buf))
+    }
+
+    fn write(&mut self, mem: &Memory, addr: u64, value: u64) -> Result<(), Fault> {
+        let (i, off) = self.locate(mem, addr)?;
+        let (_, writable, bytes) = &mut self.segments[i];
+        if !*writable {
+            return Err(Fault::PermissionFault { addr });
+        }
+        bytes[off..off + 8].copy_from_slice(&value.to_le_bytes());
+        Ok(())
+    }
+}
+
+/// One random access: `(region, shape, raw, write, value)`. Regions 0–3
+/// are the standard segments, 4 is anywhere in the 39-bit space (almost
+/// always unmapped), 5 is a segment address with a non-canonical high bit.
+type MemOp = (usize, u8, u64, bool, u64);
+
+fn arb_mem_op() -> impl Strategy<Value = MemOp> {
+    (0usize..6, 0u8..4, any::<u64>(), any::<bool>(), any::<u64>())
+}
+
+/// The address an op touches. Shapes: 0 an aligned slot, 1 an access
+/// crossing a page boundary inside the segment, 2 an access crossing or
+/// starting at the segment's end, 3 any byte offset.
+fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
+    let (base, _, bytes) = &model.segments[region % 4];
+    let len = bytes.len() as u64;
+    let off = match shape {
+        0 => raw % (len / 8) * 8,
+        1 => (1 + raw % (len / PAGE - 1)) * PAGE - 1 - (raw >> 32) % 7,
+        2 => len - (raw >> 32) % 8,
+        _ => raw % len,
+    };
+    match region {
+        4 => raw % (1 << 39),
+        5 => (base + off) | (1 << 54),
+        _ => base + off,
+    }
+}
+
+/// Applies one op to both memories and checks they agree on the result.
+fn apply_op(mem: &mut Memory, model: &mut FlatMemory, op: &MemOp) -> Result<(), TestCaseError> {
+    let addr = op_addr(model, op);
+    let (_, _, _, write, value) = *op;
+    if write {
+        prop_assert_eq!(mem.write_u64(addr, value), model.write(mem, addr, value));
+    } else {
+        prop_assert_eq!(mem.read_u64(addr), model.read(mem, addr));
+    }
+    Ok(())
+}
+
+/// Reads every page's first and last slot and the access straddling it
+/// and its successor, plus the neighbourhood of every address in `ops`:
+/// unwritten pages must read zero and written bytes what the model holds.
+fn assert_same(mem: &Memory, model: &FlatMemory, ops: &[MemOp]) -> Result<(), TestCaseError> {
+    let mut addrs: Vec<u64> = Vec::new();
+    for (base, _, bytes) in &model.segments {
+        for page in (0..bytes.len() as u64).step_by(PAGE as usize) {
+            addrs.extend([base + page, base + page + PAGE - 8, base + page + PAGE - 4]);
+        }
+    }
+    for op in ops {
+        let addr = op_addr(model, op);
+        addrs.extend((0..16).map(|d| addr.wrapping_sub(8).wrapping_add(d)));
+    }
+    for addr in addrs {
+        prop_assert_eq!(mem.read_u64(addr), model.read(mem, addr), "at {:#x}", addr);
+    }
+    Ok(())
+}
+
+proptest! {
+    #[test]
+    fn memory_matches_a_flat_byte_model_and_clones_are_independent(
+        ops in prop::collection::vec(arb_mem_op(), 1..48),
+        split in any::<prop::sample::Index>(),
+        clone_ops in prop::collection::vec(arb_mem_op(), 0..24),
+    ) {
+        let mut mem = Memory::with_standard_layout();
+        let mut model = FlatMemory::standard();
+        let (before, after) = ops.split_at(split.index(ops.len()));
+        for op in before {
+            apply_op(&mut mem, &mut model, op)?;
+        }
+        // Writes to the clone never reach the original, nor the reverse.
+        let mut copy = mem.clone();
+        let mut copy_model = model.clone();
+        for op in after {
+            apply_op(&mut mem, &mut model, op)?;
+        }
+        for op in &clone_ops {
+            apply_op(&mut copy, &mut copy_model, op)?;
+        }
+        let all: Vec<MemOp> = ops.iter().chain(&clone_ops).copied().collect();
+        assert_same(&mem, &model, &all)?;
+        assert_same(&copy, &copy_model, &all)?;
     }
 }

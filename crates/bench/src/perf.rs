@@ -2,7 +2,7 @@
 //! compared with the previous committed bench file.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr10.json`). Every
+//! and written as machine-readable JSON (default `BENCH_pr11.json`). Every
 //! row's *before* is that row's *after* in one file: the highest-numbered
 //! `BENCH_pr<N>.json` of the working directory other than the `--out`
 //! file. A row that file lacks has no *before*. The committed files thus
@@ -18,6 +18,10 @@
 //!   the IA cipher.
 //! * **`pac_insns`** — retired PAC instructions per second on the full CPU
 //!   model running a sign/authenticate loop with the PAC memo cache on.
+//! * **`chaos_trials`** — fault-injection trials per second with the empty
+//!   plan on one target prepared by [`engine::prepare`] (PACStack, the
+//!   chaos module): the per-trial copy of the base CPU plus one
+//!   single-stepped clean run.
 //! * **`repro_all_wall_jobs1`**, **`repro_all_wall_jobsauto`** — end-to-end
 //!   wall time of `repro all`, re-executed as a child process with the
 //!   telemetry sink off. The two runs' stdout is byte-compared.
@@ -34,6 +38,8 @@
 
 use pacstack_aarch64::program::Op;
 use pacstack_aarch64::{Cpu, Instruction, Program, Reg};
+use pacstack_chaos::campaign::chaos_module;
+use pacstack_chaos::{engine, InjectionPlan, TrialOutcome, TARGETS};
 use pacstack_pauth::{PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack_qarma::{Key128, Qarma64};
 use std::fmt::Write as _;
@@ -173,6 +179,17 @@ fn bench_pac_insns() -> PerfRecord {
     // paciasp + autiasp + pacga per pass
     let after = (iterations * 3) as f64 / start.elapsed().as_secs_f64();
     PerfRecord::new("pac_insns", after, "ops_per_s", 1)
+}
+
+/// Clean-plan trials per second on the prepared PACStack chaos target.
+fn bench_chaos_trials() -> PerfRecord {
+    let prepared = engine::prepare(TARGETS[1], &chaos_module(), 0xFEED)
+        .expect("the chaos module prepares under PACStack");
+    let plan = InjectionPlan::default();
+    let after = measure_rate(64, TARGET_MS, |_| {
+        u64::from(prepared.run_plan(&plan) == TrialOutcome::Masked)
+    });
+    PerfRecord::new("chaos_trials", after, "ops_per_s", 1)
 }
 
 /// Runs `repro <target>` as a child process and returns its stdout and
@@ -320,6 +337,7 @@ pub fn run(out: &Path) -> Result<(), String> {
         bench_pac_compute(),
         bench_pakeys_first_pac(),
         bench_pac_insns(),
+        bench_chaos_trials(),
     ];
     let (off_out, off) = bench_e2e("all", 1, false)?;
     records.push(off);

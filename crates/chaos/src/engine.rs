@@ -8,16 +8,7 @@ use pacstack_compiler::{lower, Module, Scheme};
 use pacstack_pauth::PaKey;
 use pacstack_qarma::Key128;
 use pacstack_telemetry as telemetry;
-use std::cell::RefCell;
 use std::fmt;
-
-thread_local! {
-    /// Per-thread scratch CPU reused across trials. Restoring the base
-    /// snapshot with `clone_from` copies into the scratch's existing
-    /// allocations; cloning afresh per trial would map and unmap the ~3 MiB
-    /// of memory segments every time, which dominated campaign wall time.
-    static SCRATCH: RefCell<Option<Cpu>> = const { RefCell::new(None) };
-}
 
 /// A protection configuration under test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -138,8 +129,8 @@ pub struct Reference {
 }
 
 /// A target compiled, seeded and profiled, ready for injected trials.
-/// Trials restore the base CPU into a per-thread scratch with `clone_from`,
-/// so the per-trial snapshot cost is a straight memory copy.
+/// Each trial runs on a clone of the base CPU, which shares the linked
+/// program and copies only the memory pages the base has written.
 #[derive(Debug, Clone)]
 pub struct PreparedTarget {
     /// The configuration this was prepared for.
@@ -188,7 +179,7 @@ pub fn prepare(target: Target, module: &Module, seed: u64) -> Result<PreparedTar
         .ok_or(Fault::NoSuchSymbol)
         .map_err(ChaosError::Reference)?;
 
-    // Reference run on a scratch clone, collecting windows as we go.
+    // Reference run on a clone of the base, collecting windows as we go.
     let mut cpu = base.clone();
     let mut windows = Vec::new();
     const REFERENCE_CEILING: u64 = 4_000_000;
@@ -286,31 +277,15 @@ impl PreparedTarget {
     /// Runs one injected trial to its classified outcome. Never panics:
     /// every termination path maps to a [`TrialOutcome`].
     ///
-    /// The trial executes on this thread's scratch CPU, restored to the
-    /// prepared base snapshot first — `clone_from` makes the restore an
-    /// in-place copy, so consecutive trials do no allocator work. Restores
-    /// have full `Clone` semantics, so outcomes are independent of whatever
-    /// trial (of whatever target) previously used the scratch.
+    /// The trial runs on a fresh clone of the prepared base CPU, so its
+    /// outcome does not depend on any earlier trial. End-of-trial telemetry
+    /// records the outcome counts, the fault attribution, the cycle-latency
+    /// histogram and the CPU's own counter deltas, all in the
+    /// simulated-cycle domain, so campaign telemetry is as
+    /// thread-count-independent as the outcomes themselves.
     pub fn run_plan(&self, plan: &InjectionPlan) -> TrialOutcome {
-        SCRATCH.with(|slot| {
-            let mut slot = slot.borrow_mut();
-            let cpu = match slot.as_mut() {
-                Some(cpu) => {
-                    cpu.clone_from(&self.base);
-                    cpu
-                }
-                None => slot.insert(self.base.clone()),
-            };
-            self.run_plan_on(cpu, plan)
-        })
-    }
-
-    /// The trial loop, plus end-of-trial telemetry: outcome counts, fault
-    /// attribution, the cycle-latency histogram, and the CPU's own counter
-    /// deltas — all in the simulated-cycle domain, so campaign telemetry is
-    /// as thread-count-independent as the outcomes themselves.
-    fn run_plan_on(&self, cpu: &mut Cpu, plan: &InjectionPlan) -> TrialOutcome {
-        let outcome = self.trial_loop(cpu, plan);
+        let mut cpu = self.base.clone();
+        let outcome = self.trial_loop(&mut cpu, plan);
         if telemetry::enabled() {
             telemetry::counter(
                 &format!("chaos_trials_total{{outcome=\"{}\"}}", outcome.label()),

@@ -1,10 +1,11 @@
 //! Edge cases and failure injection across crate boundaries.
 
 use pacstack::aarch64::kernel::Scheduler;
-use pacstack::aarch64::{CostModel, Cpu, Instruction, Perms, Program, Reg};
+use pacstack::aarch64::{CostModel, Cpu, Fault, Instruction, Perms, Program, Reg};
 use pacstack::acs::{AcsConfig, AuthenticatedCallStack};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::pauth::{PaKeys, PointerAuth, VaLayout};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 fn acs() -> AuthenticatedCallStack {
     AuthenticatedCallStack::new(
@@ -111,6 +112,27 @@ fn scheduler_reports_timeout_for_divergent_tasks() {
     // The spinner is still live; main may or may not have finished in 10
     // slices, but nothing crashed.
     assert!(sched.live_tasks() >= 1);
+}
+
+#[test]
+fn spawning_past_the_thread_stack_area_is_a_fault_not_a_panic() {
+    let mut m = Module::new();
+    m.push(FuncDef::new("main", vec![Stmt::Return]));
+    m.push(FuncDef::new("worker", vec![Stmt::Return]));
+    let mut cpu = Cpu::with_seed(lower(&m, Scheme::PacStack), 1);
+    let mut sched = Scheduler::adopt_main(&cpu);
+    for seed in 0..120 {
+        sched.spawn(&mut cpu, "worker", seed).unwrap();
+    }
+    // The 121st thread stack would overlap the main stack.
+    let spawn = catch_unwind(AssertUnwindSafe(|| sched.spawn(&mut cpu, "worker", 120)));
+    let fault = spawn.expect("spawn must not unwind").unwrap_err();
+    assert!(matches!(fault, Fault::AccessFault { .. }), "got {fault}");
+    // A refused spawn maps nothing and reserves nothing: retrying reports
+    // the same stack base, and the 121 existing tasks still run clean.
+    assert_eq!(sched.spawn(&mut cpu, "worker", 121), Err(fault));
+    assert_eq!(sched.live_tasks(), 121);
+    assert!(sched.run_all(&mut cpu, 1_000, 100_000).is_ok());
 }
 
 #[test]
