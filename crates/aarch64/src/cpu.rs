@@ -5,7 +5,7 @@ use crate::profile::{FunctionProfile, Profiler};
 use crate::program::LinkError;
 use crate::regs::RegisterFile;
 use crate::trace::TraceEntry;
-use crate::{Cond, CostModel, Fault, Instruction, Memory, Program, Reg};
+use crate::{Cond, Fault, InsnClass, Instruction, Memory, Program, Reg};
 use pacstack_pauth::{AuthFailure, PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack_telemetry as telemetry;
 use pacstack_telemetry::Ring;
@@ -89,6 +89,24 @@ impl InsnCounters {
     pub fn total(&self) -> u64 {
         self.pointer_auth + self.memory + self.branches + self.other
     }
+
+    fn get(&self, class: InsnClass) -> u64 {
+        match class {
+            InsnClass::PointerAuth => self.pointer_auth,
+            InsnClass::Memory => self.memory,
+            InsnClass::Branch => self.branches,
+            InsnClass::Other => self.other,
+        }
+    }
+
+    fn bump(&mut self, class: InsnClass) {
+        match class {
+            InsnClass::PointerAuth => self.pointer_auth += 1,
+            InsnClass::Memory => self.memory += 1,
+            InsnClass::Branch => self.branches += 1,
+            InsnClass::Other => self.other += 1,
+        }
+    }
 }
 
 /// The result of a completed run.
@@ -104,11 +122,6 @@ pub struct Outcome {
     pub instructions: u64,
 }
 
-/// The simulated CPU: register file, PC, flags, memory, PA unit and cost
-/// accounting.
-///
-/// # Examples
-///
 /// One slot of the direct-mapped PAC memo cache: the last MAC computed for a
 /// `(key, canonical pointer, modifier)` triple that hashed to this index.
 ///
@@ -151,6 +164,11 @@ fn pac_key_tag(key: PaKey) -> u8 {
     }
 }
 
+/// The simulated CPU: register file, PC, flags, memory, PA unit and cycle
+/// accounting.
+///
+/// # Examples
+///
 /// A return-address overwrite faulting under `retaa` (pac-ret):
 ///
 /// ```
@@ -194,13 +212,11 @@ pub struct Cpu {
     pac_memo: bool,
     /// `(hits, misses)` on the PAC memo cache, for the perf harness.
     pac_cache_stats: (u64, u64),
-    cost: CostModel,
     cycles: u64,
     instructions: u64,
     counters: InsnCounters,
-    /// Memory accesses through the shadow-stack pointer (always counted,
-    /// like `pac_cache_stats`; the cycle surcharge itself is part of
-    /// [`CostModel::cost`]).
+    /// Retired shadow-stack accesses, as [`Instruction::classify`] decides
+    /// them (always counted, like `pac_cache_stats`).
     shadow_accesses: u64,
     output: Vec<u64>,
     trace: Option<Ring<TraceEntry>>,
@@ -225,8 +241,8 @@ struct TelemetryMark {
 }
 
 impl Cpu {
-    /// Builds a CPU for `program` with PA keys derived from `seed`, the
-    /// standard memory layout and the default cost model.
+    /// Builds a CPU for `program` with PA keys derived from `seed` and the
+    /// standard memory layout.
     ///
     /// # Panics
     ///
@@ -249,18 +265,17 @@ impl Cpu {
             program,
             PaKeys::from_seed(seed),
             PointerAuth::new(VaLayout::default()),
-            CostModel::default(),
         )
     }
 
-    /// Builds a CPU with explicit keys, PA configuration and cost model.
+    /// Builds a CPU with explicit keys and PA configuration.
     ///
     /// # Panics
     ///
     /// Panics if the program does not link; use [`Cpu::try_with_parts`] to
     /// handle malformed programs as data.
-    pub fn with_parts(program: Program, keys: PaKeys, pa: PointerAuth, cost: CostModel) -> Self {
-        match Self::try_with_parts(program, keys, pa, cost) {
+    pub fn with_parts(program: Program, keys: PaKeys, pa: PointerAuth) -> Self {
+        match Self::try_with_parts(program, keys, pa) {
             Ok(cpu) => cpu,
             Err(e) => panic!("program does not link: {e}"),
         }
@@ -277,7 +292,6 @@ impl Cpu {
         program: Program,
         keys: PaKeys,
         pa: PointerAuth,
-        cost: CostModel,
     ) -> Result<Self, LinkError> {
         let image = program.assemble(LAYOUT.code_base)?;
         let mut regs = RegisterFile::new();
@@ -298,7 +312,6 @@ impl Cpu {
             key_epoch: 1,
             pac_memo: true,
             pac_cache_stats: (0, 0),
-            cost,
             cycles: 0,
             instructions: 0,
             counters: InsnCounters::default(),
@@ -646,23 +659,11 @@ impl Cpu {
     pub fn step(&mut self) -> Result<Option<RunStatus>, Fault> {
         use Instruction::*;
         let insn = self.fetch()?;
-        self.cycles += self.cost.cost(&insn);
+        let retire = insn.classify();
+        self.cycles += retire.cycles;
         self.instructions += 1;
-        {
-            use Instruction::*;
-            if insn.is_pointer_auth() {
-                self.counters.pointer_auth += 1;
-            } else if insn.is_memory() {
-                self.counters.memory += 1;
-            } else if matches!(
-                insn,
-                B(..) | BCond(..) | Cbz(..) | Cbnz(..) | Bl(..) | Blr(..) | Br(..) | Ret
-            ) {
-                self.counters.branches += 1;
-            } else {
-                self.counters.other += 1;
-            }
-        }
+        self.counters.bump(retire.class);
+        self.shadow_accesses += u64::from(retire.shadow);
         if let Some(trace) = &mut self.trace {
             trace.record(TraceEntry {
                 pc: self.pc,
@@ -714,21 +715,11 @@ impl Cpu {
             CmpImm(n, imm) => self.set_flags_from_cmp(self.regs.read(n), imm as u64),
 
             Ldr(t, n, off) => {
-                // Accesses through the shadow-stack pointer hit a distant
-                // region with worse locality than the hot stack; the cycle
-                // surcharge is part of `CostModel::cost` (charged at fetch,
-                // even if the access then faults), so here we only count.
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n).wrapping_add(off as u64);
                 let v = self.mem.read_u64(addr)?;
                 self.regs.write(t, v);
             }
             Str(t, n, off) => {
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n).wrapping_add(off as u64);
                 self.mem.write_u64(addr, self.regs.read(t))?;
             }
@@ -739,9 +730,6 @@ impl Cpu {
                 self.regs.write(n, addr.wrapping_add(off as u64));
             }
             LdrPre(t, n, off) => {
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n).wrapping_add(off as u64);
                 let v = self.mem.read_u64(addr)?;
                 self.regs.write(t, v);
@@ -753,9 +741,6 @@ impl Cpu {
                 self.regs.write(n, addr);
             }
             StrPost(t, n, off) => {
-                if n == Reg::SCS {
-                    self.shadow_accesses += 1;
-                }
                 let addr = self.regs.read(n);
                 self.mem.write_u64(addr, self.regs.read(t))?;
                 self.regs.write(n, addr.wrapping_add(off as u64));
@@ -933,22 +918,6 @@ impl Cpu {
         let deltas = [
             ("cpu_cycles_total", self.cycles - mark.cycles),
             ("cpu_insns_total", self.instructions - mark.instructions),
-            (
-                "cpu_insns_class_total{class=\"pointer_auth\"}",
-                self.counters.pointer_auth - mark.counters.pointer_auth,
-            ),
-            (
-                "cpu_insns_class_total{class=\"memory\"}",
-                self.counters.memory - mark.counters.memory,
-            ),
-            (
-                "cpu_insns_class_total{class=\"branch\"}",
-                self.counters.branches - mark.counters.branches,
-            ),
-            (
-                "cpu_insns_class_total{class=\"other\"}",
-                self.counters.other - mark.counters.other,
-            ),
             ("cpu_pac_memo_total{result=\"hit\"}", hits - mark.pac_hits),
             (
                 "cpu_pac_memo_total{result=\"miss\"}",
@@ -962,6 +931,13 @@ impl Cpu {
         for (name, delta) in deltas {
             if delta > 0 {
                 telemetry::counter(name, delta);
+            }
+        }
+        for class in InsnClass::ALL {
+            let delta = self.counters.get(class) - mark.counters.get(class);
+            if delta > 0 {
+                let name = format!("cpu_insns_class_total{{class=\"{}\"}}", class.label());
+                telemetry::counter(&name, delta);
             }
         }
         self.tmark = TelemetryMark {

@@ -143,38 +143,126 @@ pub enum Instruction {
     Nop,
 }
 
+/// An instruction's retire class: the `class` label of the
+/// `cpu_insns_class_total` telemetry counter and the column of
+/// [`InsnCounters`](crate::InsnCounters) it counts in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum InsnClass {
+    /// The PA family: `pac*`, `aut*`, `retaa`/`retab`, `xpaci`, `pacga`.
+    PointerAuth,
+    /// Loads and stores; a pair counts once.
+    Memory,
+    /// Branches, taken or not, calls and returns.
+    Branch,
+    /// Everything else: ALU, moves, multiply, `bti`, `svc`, `nop`.
+    Other,
+}
+
+impl InsnClass {
+    /// Every class, in declaration order.
+    pub const ALL: [InsnClass; 4] = [
+        InsnClass::PointerAuth,
+        InsnClass::Memory,
+        InsnClass::Branch,
+        InsnClass::Other,
+    ];
+
+    /// The `class` label of `cpu_insns_class_total`.
+    pub fn label(self) -> &'static str {
+        match self {
+            InsnClass::PointerAuth => "pointer_auth",
+            InsnClass::Memory => "memory",
+            InsnClass::Branch => "branch",
+            InsnClass::Other => "other",
+        }
+    }
+}
+
+/// What retiring one instruction adds to the CPU's counters, decided by
+/// [`Instruction::classify`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Retire {
+    /// The retire class it counts in.
+    pub class: InsnClass,
+    /// The cycles it is charged, at fetch, even if it then faults.
+    pub cycles: u64,
+    /// Whether it is a shadow-stack access: a load or store through the
+    /// shadow-stack pointer in an addressing mode the instrumentation emits
+    /// (plain, pre-indexed pop, post-indexed push).
+    pub shadow: bool,
+}
+
+// The cycle cost table. The paper's §7 could not time PA instructions on
+// silicon: it ran a PA-analogue on ARMv8.2 cores and charged each PAC the
+// ~4-cycle latency estimated from QARMA hardware evaluations (Avanzi 2017,
+// via Liljestrand et al. 2019). These fixed costs play that role, so the
+// schemes' instrumentation overheads compare as cycle ratios.
+
+/// ALU, move, branch, call, return, `bti` and `nop`.
+const ALU_CYCLES: u64 = 1;
+/// A load or store that hits L1.
+const MEMORY_CYCLES: u64 = 2;
+/// A shadow-stack access: the memory latency plus 2 cycles of cache and
+/// TLB traffic, because the shadow stack lives far from the hot stack.
+const SHADOW_CYCLES: u64 = MEMORY_CYCLES + 2;
+/// A PA instruction: the paper's ~4-cycle PAC.
+const PAC_CYCLES: u64 = 4;
+/// `retaa`/`retab`: an authentication plus a return.
+const AUTH_RETURN_CYCLES: u64 = PAC_CYCLES + ALU_CYCLES;
+/// Integer multiply.
+const MULTIPLY_CYCLES: u64 = 3;
+/// A supervisor call, the EL0→EL1 round trip.
+const SYSCALL_CYCLES: u64 = 200;
+
 impl Instruction {
-    /// Whether this instruction is one of the PA family (costed separately).
-    pub fn is_pointer_auth(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Pacia(..)
-                | Instruction::Autia(..)
-                | Instruction::Pacib(..)
-                | Instruction::Autib(..)
-                | Instruction::Paciasp
-                | Instruction::Autiasp
-                | Instruction::Retaa
-                | Instruction::Pacibsp
-                | Instruction::Retab
-                | Instruction::Pacga(..)
-                | Instruction::Xpaci(..)
-        )
+    /// The one answer to "what kind of instruction is this": its retire
+    /// class, its cycle charge and whether it accesses the shadow stack.
+    ///
+    /// ```
+    /// use pacstack_aarch64::{InsnClass, Instruction, Reg};
+    ///
+    /// let retire = Instruction::Pacia(Reg::X30, Reg::X28).classify();
+    /// assert_eq!((retire.class, retire.cycles), (InsnClass::PointerAuth, 4));
+    /// assert!(Instruction::StrPost(Reg::X30, Reg::SCS, 8).classify().shadow);
+    /// ```
+    #[inline]
+    pub fn classify(&self) -> Retire {
+        use InsnClass::{Branch, Memory, Other, PointerAuth};
+        use Instruction::*;
+        let (class, cycles) = match self {
+            Ldr(_, Reg::SCS, _)
+            | Str(_, Reg::SCS, _)
+            | LdrPre(_, Reg::SCS, _)
+            | StrPost(_, Reg::SCS, _) => {
+                return Retire {
+                    class: Memory,
+                    cycles: SHADOW_CYCLES,
+                    shadow: true,
+                }
+            }
+            Ldr(..) | Str(..) | LdrPost(..) | LdrPre(..) | StrPre(..) | StrPost(..) | Stp(..)
+            | Ldp(..) => (Memory, MEMORY_CYCLES),
+            B(..) | BCond(..) | Cbz(..) | Cbnz(..) | Bl(..) | Blr(..) | Br(..) | Ret => {
+                (Branch, ALU_CYCLES)
+            }
+            Retaa | Retab => (PointerAuth, AUTH_RETURN_CYCLES),
+            Pacia(..) | Autia(..) | Pacib(..) | Autib(..) | Paciasp | Autiasp | Pacibsp
+            | Xpaci(..) | Pacga(..) => (PointerAuth, PAC_CYCLES),
+            Mul(..) => (Other, MULTIPLY_CYCLES),
+            Svc(..) => (Other, SYSCALL_CYCLES),
+            Mov(..) | MovImm(..) | Add(..) | AddImm(..) | Sub(..) | Eor(..) | EorImm(..)
+            | AndImm(..) | LsrImm(..) | Cmp(..) | CmpImm(..) | Bti | Nop => (Other, ALU_CYCLES),
+        };
+        Retire {
+            class,
+            cycles,
+            shadow: false,
+        }
     }
 
-    /// Whether this instruction accesses data memory.
-    pub fn is_memory(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Ldr(..)
-                | Instruction::Str(..)
-                | Instruction::LdrPost(..)
-                | Instruction::LdrPre(..)
-                | Instruction::StrPre(..)
-                | Instruction::StrPost(..)
-                | Instruction::Stp(..)
-                | Instruction::Ldp(..)
-        )
+    /// Whether this instruction is one of the PA family.
+    pub fn is_pointer_auth(&self) -> bool {
+        self.classify().class == InsnClass::PointerAuth
     }
 }
 
@@ -232,19 +320,132 @@ impl fmt::Display for Instruction {
 mod tests {
     use super::*;
 
-    #[test]
-    fn pa_classification() {
-        assert!(Instruction::Pacia(Reg::X30, Reg::X28).is_pointer_auth());
-        assert!(Instruction::Retaa.is_pointer_auth());
-        assert!(!Instruction::Ret.is_pointer_auth());
-        assert!(!Instruction::Ldr(Reg::X0, Reg::Sp, 0).is_pointer_auth());
+    /// Position of `insn`'s variant in declaration order. The match is
+    /// exhaustive, so a new variant does not compile until it is added
+    /// here, and the table test then fails until it has a row.
+    fn ordinal(insn: &Instruction) -> usize {
+        use Instruction::*;
+        match insn {
+            Mov(..) => 0,
+            MovImm(..) => 1,
+            Add(..) => 2,
+            AddImm(..) => 3,
+            Sub(..) => 4,
+            Mul(..) => 5,
+            Eor(..) => 6,
+            EorImm(..) => 7,
+            AndImm(..) => 8,
+            LsrImm(..) => 9,
+            Cmp(..) => 10,
+            CmpImm(..) => 11,
+            Ldr(..) => 12,
+            Str(..) => 13,
+            LdrPost(..) => 14,
+            LdrPre(..) => 15,
+            StrPre(..) => 16,
+            StrPost(..) => 17,
+            Stp(..) => 18,
+            Ldp(..) => 19,
+            B(..) => 20,
+            BCond(..) => 21,
+            Cbz(..) => 22,
+            Cbnz(..) => 23,
+            Bl(..) => 24,
+            Blr(..) => 25,
+            Br(..) => 26,
+            Ret => 27,
+            Pacia(..) => 28,
+            Autia(..) => 29,
+            Pacib(..) => 30,
+            Autib(..) => 31,
+            Paciasp => 32,
+            Autiasp => 33,
+            Retaa => 34,
+            Pacibsp => 35,
+            Retab => 36,
+            Bti => 37,
+            Xpaci(..) => 38,
+            Pacga(..) => 39,
+            Svc(..) => 40,
+            Nop => 41,
+        }
     }
 
     #[test]
-    fn memory_classification() {
-        assert!(Instruction::Stp(Reg::X29, Reg::X30, Reg::Sp, -16).is_memory());
-        assert!(Instruction::LdrPost(Reg::X28, Reg::Sp, 16).is_memory());
-        assert!(!Instruction::Mov(Reg::X0, Reg::X1).is_memory());
+    fn classifier_table_covers_every_variant() {
+        use Instruction::*;
+        const PA: InsnClass = InsnClass::PointerAuth;
+        const MEM: InsnClass = InsnClass::Memory;
+        const BR: InsnClass = InsnClass::Branch;
+        const OTHER: InsnClass = InsnClass::Other;
+        let (x0, x1, x2, sp, lr, scs) = (Reg::X0, Reg::X1, Reg::X2, Reg::Sp, Reg::X30, Reg::SCS);
+        let table = [
+            (Mov(x0, x1), OTHER, 1, false),
+            (MovImm(x0, 7), OTHER, 1, false),
+            (Add(x0, x1, x2), OTHER, 1, false),
+            (AddImm(x0, x1, -1), OTHER, 1, false),
+            (Sub(x0, x1, x2), OTHER, 1, false),
+            (Mul(x0, x1, x2), OTHER, 3, false),
+            (Eor(x0, x1, x2), OTHER, 1, false),
+            (EorImm(x0, x1, 0xff), OTHER, 1, false),
+            (AndImm(x0, x1, 0xff), OTHER, 1, false),
+            (LsrImm(x0, x1, 3), OTHER, 1, false),
+            (Cmp(x0, x1), OTHER, 1, false),
+            (CmpImm(x0, 3), OTHER, 1, false),
+            // The six single-register forms, through SP and through SCS:
+            // only the four shadow-stack idioms carry the surcharge.
+            (Ldr(x0, sp, 0), MEM, 2, false),
+            (Ldr(lr, scs, 0), MEM, 4, true),
+            (Str(lr, sp, 0), MEM, 2, false),
+            (Str(lr, scs, 0), MEM, 4, true),
+            (LdrPost(lr, sp, 16), MEM, 2, false),
+            (LdrPost(lr, scs, 8), MEM, 2, false),
+            (LdrPre(lr, sp, -8), MEM, 2, false),
+            (LdrPre(lr, scs, -8), MEM, 4, true),
+            (StrPre(lr, sp, -16), MEM, 2, false),
+            (StrPre(lr, scs, -8), MEM, 2, false),
+            (StrPost(lr, sp, 8), MEM, 2, false),
+            (StrPost(lr, scs, 8), MEM, 4, true),
+            // SCS as the data register (the jmp_buf save) is no shadow access.
+            (Str(scs, Reg::X10, 24), MEM, 2, false),
+            (Stp(Reg::X29, lr, sp, -16), MEM, 2, false),
+            (Ldp(Reg::X29, lr, sp, 16), MEM, 2, false),
+            (B(0x40_0000), BR, 1, false),
+            (BCond(Cond::Ne, 0x40_0000), BR, 1, false),
+            (Cbz(x0, 0x40_0000), BR, 1, false),
+            (Cbnz(x0, 0x40_0000), BR, 1, false),
+            (Bl(0x40_0000), BR, 1, false),
+            (Blr(x1), BR, 1, false),
+            (Br(x1), BR, 1, false),
+            (Ret, BR, 1, false),
+            (Pacia(lr, Reg::X28), PA, 4, false),
+            (Autia(lr, Reg::X28), PA, 4, false),
+            (Pacib(lr, Reg::X28), PA, 4, false),
+            (Autib(lr, Reg::X28), PA, 4, false),
+            (Paciasp, PA, 4, false),
+            (Autiasp, PA, 4, false),
+            (Retaa, PA, 5, false),
+            (Pacibsp, PA, 4, false),
+            (Retab, PA, 5, false),
+            (Bti, OTHER, 1, false),
+            (Xpaci(lr), PA, 4, false),
+            (Pacga(x0, x1, x2), PA, 4, false),
+            (Svc(0), OTHER, 200, false),
+            (Nop, OTHER, 1, false),
+        ];
+        let mut seen = [false; 42];
+        for (insn, class, cycles, shadow) in table {
+            seen[ordinal(&insn)] = true;
+            let expected = Retire {
+                class,
+                cycles,
+                shadow,
+            };
+            assert_eq!(insn.classify(), expected, "{insn}");
+            assert_eq!(insn.is_pointer_auth(), class == PA, "{insn}");
+        }
+        let missing: Vec<usize> = (0..seen.len()).filter(|&i| !seen[i]).collect();
+        assert!(missing.is_empty(), "variants without a row: {missing:?}");
     }
 
     #[test]

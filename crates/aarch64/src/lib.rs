@@ -13,10 +13,10 @@
 //!   `retaa`, `xpaci`, `pacga` — over a memory model that enforces W⊕X and
 //!   faults on non-canonical pointers, exactly the behaviours the paper's
 //!   security argument depends on.
-//! * **Performance**: a deterministic per-instruction cycle model
-//!   ([`CostModel`]) in which a PAC computation costs ~4 cycles, the figure
-//!   the paper adopts from QARMA hardware evaluations, so instrumentation
-//!   overheads can be measured as cycle ratios.
+//! * **Performance**: a deterministic per-instruction cycle charge
+//!   ([`Instruction::classify`]) in which a PAC computation costs ~4
+//!   cycles, the figure the paper adopts from QARMA hardware evaluations,
+//!   so instrumentation overheads can be measured as cycle ratios.
 //!
 //! A small kernel model ([`kernel`]) covers what §5.4 of the paper relies
 //! on: per-process PA keys owned at EL1, context switches that spill CR/LR
@@ -46,7 +46,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod asm;
-mod cost;
 mod cpu;
 mod fault;
 mod insn;
@@ -57,10 +56,9 @@ pub mod program;
 mod regs;
 pub mod trace;
 
-pub use cost::CostModel;
 pub use cpu::{Context, Cpu, InsnCounters, Outcome, RunStatus};
 pub use fault::Fault;
-pub use insn::{Cond, Instruction};
+pub use insn::{Cond, InsnClass, Instruction, Retire};
 pub use memory::{Memory, Perms, LAYOUT};
 pub use profile::{FunctionProfile, ProfileSpan};
 pub use program::{LinkError, Program};

@@ -18,7 +18,8 @@ pub struct TraceEntry {
     /// Cumulative cycle count *after* this instruction retired — always
     /// equal to [`Cpu::cycles`](crate::Cpu::cycles) at the retire point,
     /// shadow-stack surcharge included, because the CPU charges the whole
-    /// [`CostModel::cost`](crate::CostModel::cost) before recording.
+    /// [`Instruction::classify`](crate::Instruction::classify) cycle
+    /// charge before recording.
     pub cycles: u64,
 }
 

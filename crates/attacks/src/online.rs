@@ -10,7 +10,7 @@
 //! on restart.
 
 use crate::layout_with_pac_bits;
-use pacstack_aarch64::{CostModel, Cpu, Fault, Reg, RunStatus};
+use pacstack_aarch64::{Cpu, Fault, Reg, RunStatus};
 use pacstack_compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
 use pacstack_pauth::{PaKeys, PointerAuth};
 use rand::rngs::StdRng;
@@ -70,7 +70,7 @@ pub fn bruteforce_to_gadget(
     for attempt in 1..=max_attempts {
         // Fresh process: new keys on exec.
         let keys = PaKeys::from_seed(rng.gen());
-        let mut cpu = Cpu::with_parts(program.clone(), keys, pa, CostModel::default());
+        let mut cpu = Cpu::with_parts(program.clone(), keys, pa);
         let out = cpu.run(100_000).expect("victim reaches checkpoint");
         assert_eq!(out.status, RunStatus::Syscall(VICTIM_CHECKPOINT));
 

@@ -1,5 +1,6 @@
 //! The experiments, one function per table/figure.
 
+use pacstack_aarch64::{Cpu, InsnCounters};
 use pacstack_acs::security::{self, ViolationKind};
 use pacstack_acs::Masking;
 use pacstack_attacks::{collision, gadget, guessing, offgraph, reuse, rop};
@@ -7,7 +8,7 @@ use pacstack_chaos::campaign::{chaos_module, coverage, TargetCoverage};
 use pacstack_chaos::ChaosError;
 use pacstack_compiler::Scheme;
 use pacstack_exec as exec;
-use pacstack_workloads::measure::{geometric_mean_percent, overheads};
+use pacstack_workloads::measure::{geometric_mean_percent, overheads, run_to_exit};
 use pacstack_workloads::nginx::{ssl_tps, TpsResult};
 use pacstack_workloads::spec::{Suite, CPP_BENCHMARKS, C_BENCHMARKS};
 use pacstack_workloads::supervisor::{online_attack_economics, EconomicsRow};
@@ -400,7 +401,6 @@ impl AblationRow {
 /// measured on the call-heavy `perlbench` profile.
 pub fn ablations() -> Vec<AblationRow> {
     use pacstack_compiler::{lower_with_options, LowerOptions};
-    use pacstack_workloads::measure::run_module;
     use pacstack_workloads::spec::c_benchmark;
 
     let module = c_benchmark("perlbench")
@@ -414,15 +414,8 @@ pub fn ablations() -> Vec<AblationRow> {
                 instrument_leaves: leaves,
             },
         );
-        let mut cpu = pacstack_aarch64::Cpu::with_seed(program, 1);
-        loop {
-            match cpu.run(BUDGET).expect("clean run").status {
-                pacstack_aarch64::RunStatus::Exited(_) => break cpu.cycles(),
-                _ => continue,
-            }
-        }
+        run_to_exit(&mut Cpu::with_seed(program, 1), scheme, BUDGET).cycles
     };
-    let _ = run_module(&module, Scheme::Baseline, BUDGET); // warm sanity check
     let configs = [
         (Scheme::PacStack, false),
         (Scheme::PacStackNomask, false),
@@ -555,7 +548,7 @@ pub struct MixRow {
     /// The scheme.
     pub scheme: Scheme,
     /// Retired-instruction counters.
-    pub counters: pacstack_aarch64::InsnCounters,
+    pub counters: InsnCounters,
     /// Instructions added relative to the baseline (can be large for the
     /// masked variant: 2 extra PACs + 4 moves + 2 eors per activation).
     pub added_vs_baseline: i64,
@@ -570,13 +563,9 @@ pub fn instruction_mix() -> Vec<MixRow> {
         .module(Suite::Rate);
     let run = |scheme: Scheme| {
         let program = pacstack_compiler::lower(&module, scheme);
-        let mut cpu = pacstack_aarch64::Cpu::with_seed(program, 1);
-        loop {
-            match cpu.run(BUDGET).expect("clean run").status {
-                pacstack_aarch64::RunStatus::Exited(_) => break cpu.counters(),
-                _ => continue,
-            }
-        }
+        let mut cpu = Cpu::with_seed(program, 1);
+        run_to_exit(&mut cpu, scheme, BUDGET);
+        cpu.counters()
     };
     let swept = exec::parallel_map(&Scheme::ALL, |_, &scheme| run(scheme));
     exec::stats::record("instruction mix", swept.stats);
@@ -689,14 +678,9 @@ pub fn reuse_opportunities() -> Vec<ReuseRow> {
         &[Scheme::PacRet, Scheme::PacStackNomask, Scheme::PacStack],
         |_, &scheme| {
             let program = pacstack_compiler::lower(&module, scheme);
-            let mut cpu = pacstack_aarch64::Cpu::with_seed(program, 1);
+            let mut cpu = Cpu::with_seed(program, 1);
             cpu.enable_pac_log();
-            loop {
-                match cpu.run(BUDGET).expect("clean run").status {
-                    pacstack_aarch64::RunStatus::Exited(_) => break,
-                    _ => continue,
-                }
-            }
+            run_to_exit(&mut cpu, scheme, BUDGET);
             // Only pac-ret spills its signed LR; the PACStack variants keep
             // it in CR (the attack surface the metric is about).
             let spilled: Vec<(u64, u64)> = if scheme == Scheme::PacRet {

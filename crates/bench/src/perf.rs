@@ -2,7 +2,7 @@
 //! compared with the previous committed bench file.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr11.json`). Every
+//! and written as machine-readable JSON (default `BENCH_pr12.json`). Every
 //! row's *before* is that row's *after* in one file: the highest-numbered
 //! `BENCH_pr<N>.json` of the working directory other than the `--out`
 //! file. A row that file lacks has no *before*. The committed files thus
@@ -18,6 +18,11 @@
 //!   the IA cipher.
 //! * **`pac_insns`** — retired PAC instructions per second on the full CPU
 //!   model running a sign/authenticate loop with the PAC memo cache on.
+//! * **`retire_alu`**, **`retire_pac`** — retired instructions per second
+//!   of [`Cpu::run`] alone, each run on a clone of one prebuilt CPU:
+//!   `retire_alu` on an ALU/memory loop with no PA instruction,
+//!   `retire_pac` on PACStack-lowered `perlbench` (Rate suite). The retire
+//!   loop's rate without and with the PA instructions.
 //! * **`chaos_trials`** — fault-injection trials per second with the empty
 //!   plan on one target prepared by [`engine::prepare`] (PACStack, the
 //!   chaos module): the per-trial copy of the base CPU plus one
@@ -40,13 +45,15 @@ use pacstack_aarch64::program::Op;
 use pacstack_aarch64::{Cpu, Instruction, Program, Reg};
 use pacstack_chaos::campaign::chaos_module;
 use pacstack_chaos::{engine, InjectionPlan, TrialOutcome, TARGETS};
+use pacstack_compiler::{lower, Scheme};
 use pacstack_pauth::{PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack_qarma::{Key128, Qarma64};
+use pacstack_workloads::spec::{c_benchmark, Suite};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::path::Path;
 use std::process::{Command, Stdio};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One row of the bench JSON, serialised verbatim.
 #[derive(Debug, Clone)]
@@ -179,6 +186,49 @@ fn bench_pac_insns() -> PerfRecord {
     // paciasp + autiasp + pacga per pass
     let after = (iterations * 3) as f64 / start.elapsed().as_secs_f64();
     PerfRecord::new("pac_insns", after, "ops_per_s", 1)
+}
+
+/// An ALU/memory loop with no PA instruction: the straight-line work the
+/// retire loop spends most of Figure 5 and Table 3 on, distilled.
+fn alu_loop_program(iterations: u64) -> Program {
+    let mut p = Program::new();
+    p.function_ops(
+        "main",
+        vec![
+            Op::I(Instruction::MovImm(Reg::X1, iterations)),
+            Op::Label("loop".into()),
+            Op::I(Instruction::Add(Reg::X0, Reg::X0, Reg::X1)),
+            Op::I(Instruction::EorImm(Reg::X2, Reg::X0, 0x55)),
+            Op::I(Instruction::Str(Reg::X2, Reg::Sp, -16)),
+            Op::I(Instruction::Ldr(Reg::X3, Reg::Sp, -16)),
+            Op::I(Instruction::Sub(Reg::X0, Reg::X0, Reg::X3)),
+            Op::I(Instruction::AddImm(Reg::X1, Reg::X1, -1)),
+            Op::JumpNonZero(Reg::X1, "loop".into()),
+            Op::I(Instruction::MovImm(Reg::X0, 0)),
+            Op::I(Instruction::Ret),
+        ],
+    );
+    p
+}
+
+/// Retired instructions per second over clean runs of `program`, each on a
+/// clone of one CPU built up front. Only [`Cpu::run`] is timed.
+fn retire_rate(bench: &str, program: Program) -> PerfRecord {
+    let base = Cpu::with_seed(program, 3);
+    let run = || {
+        let mut cpu = base.clone();
+        let start = Instant::now();
+        let outcome = cpu.run(u64::MAX).expect("retire program runs clean");
+        (outcome.instructions, start.elapsed())
+    };
+    run(); // warm-up, unmeasured
+    let (mut insns, mut busy) = (0, Duration::ZERO);
+    while busy.as_millis() < TARGET_MS {
+        let (n, elapsed) = run();
+        insns += n;
+        busy += elapsed;
+    }
+    PerfRecord::new(bench, insns as f64 / busy.as_secs_f64(), "ops_per_s", 1)
 }
 
 /// Clean-plan trials per second on the prepared PACStack chaos target.
@@ -332,11 +382,16 @@ const EXPERIMENTS: [&str; 4] = ["table1", "figure5", "table3", "faults"];
 /// when the `repro all --jobs 1` wall time exceeds the baseline's by more
 /// than [`CROSS_RUN_NOISE`].
 pub fn run(out: &Path) -> Result<(), String> {
+    let perlbench = c_benchmark("perlbench")
+        .expect("perlbench profile exists")
+        .module(Suite::Rate);
     let mut records = vec![
         bench_qarma(),
         bench_pac_compute(),
         bench_pakeys_first_pac(),
         bench_pac_insns(),
+        retire_rate("retire_alu", alu_loop_program(100_000)),
+        retire_rate("retire_pac", lower(&perlbench, Scheme::PacStack)),
         bench_chaos_trials(),
     ];
     let (off_out, off) = bench_e2e("all", 1, false)?;
@@ -483,6 +538,14 @@ mod tests {
             baseline_file(names, Path::new("BENCH_pr8.json")),
             Some("BENCH_pr4.json")
         );
+    }
+
+    #[test]
+    fn alu_loop_program_retires_no_pa_instruction() {
+        let mut cpu = Cpu::with_seed(alu_loop_program(10), 3);
+        let outcome = cpu.run(1_000).unwrap();
+        assert_eq!(outcome.instructions, 10 * 7 + 5);
+        assert_eq!(cpu.counters().pointer_auth, 0);
     }
 
     #[test]

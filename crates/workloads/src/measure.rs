@@ -84,14 +84,16 @@ fn cpu_for(module: &Module, scheme: Scheme) -> Cpu {
     Cpu::with_seed(lower(module, scheme), 0xACE5)
 }
 
-/// Runs `cpu` to its exit and measures it; the run-and-check body shared by
-/// [`run_module`] and [`run_module_profiled`].
+/// Runs `cpu`, holding a program lowered under `scheme`, to its exit and
+/// measures it: the run-and-check body of [`run_module`],
+/// [`run_module_profiled`] and every experiment that reads more of the CPU
+/// than a [`Measurement`].
 ///
 /// # Panics
 ///
-/// Panics if the program faults, raises a syscall or exceeds `budget`
-/// instructions.
-fn run_to_exit(cpu: &mut Cpu, scheme: Scheme, budget: u64) -> Measurement {
+/// Panics, naming `scheme`, if the program faults, raises a syscall or
+/// exceeds `budget` instructions.
+pub fn run_to_exit(cpu: &mut Cpu, scheme: Scheme, budget: u64) -> Measurement {
     match cpu.run(budget) {
         Ok(out) => match out.status {
             RunStatus::Exited(code) => Measurement {
@@ -99,9 +101,11 @@ fn run_to_exit(cpu: &mut Cpu, scheme: Scheme, budget: u64) -> Measurement {
                 instructions: out.instructions,
                 exit_code: code,
             },
-            RunStatus::Syscall(n) => panic!("workload raised unexpected syscall {n}"),
+            RunStatus::Syscall(n) => {
+                panic!("workload raised unexpected syscall {n} under {scheme}")
+            }
         },
-        Err(Fault::Timeout) => panic!("workload exceeded {budget} instructions"),
+        Err(Fault::Timeout) => panic!("workload exceeded {budget} instructions under {scheme}"),
         Err(fault) => panic!("workload faulted under {scheme}: {fault}"),
     }
 }

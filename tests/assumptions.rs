@@ -158,3 +158,27 @@ fn b_key_return_protection_works_like_a_key() {
     let mut cpu = Cpu::with_seed(p, 2);
     assert!(cpu.run(100).is_err());
 }
+
+#[test]
+fn b_key_return_costs_the_same_as_a_key() {
+    // `retab` and `retaa` both authenticate LR against SP and return, so
+    // the B-key program above and its A-key mirror retire the same cycles.
+    use pacstack::aarch64::{Instruction::*, Program};
+    let run = |sign, ret| {
+        let mut p = Program::new();
+        p.function(
+            "main",
+            vec![
+                sign,
+                StrPre(Reg::X30, Reg::Sp, -16),
+                MovImm(Reg::X0, 5),
+                LdrPost(Reg::X30, Reg::Sp, 16),
+                ret,
+            ],
+        );
+        let out = Cpu::with_seed(p, 2).run(100).unwrap();
+        assert_eq!(out.exit_code, 5);
+        out.cycles
+    };
+    assert_eq!(run(Pacibsp, Retab), run(Paciasp, Retaa));
+}

@@ -1,7 +1,7 @@
 //! Edge cases and failure injection across crate boundaries.
 
 use pacstack::aarch64::kernel::Scheduler;
-use pacstack::aarch64::{CostModel, Cpu, Fault, Instruction, Perms, Program, Reg};
+use pacstack::aarch64::{Cpu, Fault, Instruction, Perms, Program, Reg};
 use pacstack::acs::{AcsConfig, AuthenticatedCallStack};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::pauth::{PaKeys, PointerAuth, VaLayout};
@@ -136,35 +136,24 @@ fn spawning_past_the_thread_stack_area_is_a_fault_not_a_panic() {
 }
 
 #[test]
-fn custom_cost_model_scales_pa_cycles() {
-    let program = || {
-        let mut p = Program::new();
-        p.function(
-            "main",
-            vec![
-                Instruction::Paciasp,
-                Instruction::Autiasp,
-                Instruction::MovImm(Reg::X0, 0),
-                Instruction::Ret,
-            ],
-        );
-        p
-    };
-    let run = |pa_cost: u64| {
-        let cost = CostModel {
-            pointer_auth: pa_cost,
-            ..CostModel::default()
-        };
-        let mut cpu = Cpu::with_parts(
-            program(),
-            PaKeys::from_seed(1),
-            PointerAuth::new(VaLayout::default()),
-            cost,
-        );
-        cpu.run(100).unwrap().cycles
-    };
-    // Two PA instructions: raising their cost by 6 each adds 12 cycles.
-    assert_eq!(run(10) - run(4), 12);
+fn pa_instructions_cost_fixed_cycles() {
+    let mut p = Program::new();
+    p.function(
+        "main",
+        vec![
+            Instruction::Paciasp,
+            Instruction::Autiasp,
+            Instruction::MovImm(Reg::X0, 0),
+            Instruction::Ret,
+        ],
+    );
+    // The §7 PA-analogue: 4 cycles per PAC, 1 per ALU instruction and
+    // branch, whatever the keys or the address layout. Main's body costs
+    // 10; the entry glue's `bl main` adds 1 and its exit `svc` 200.
+    for (seed, layout) in [(1, VaLayout::default()), (2, VaLayout::new(48, false))] {
+        let mut cpu = Cpu::with_parts(p.clone(), PaKeys::from_seed(seed), PointerAuth::new(layout));
+        assert_eq!(cpu.run(100).unwrap().cycles, (4 + 4 + 1 + 1) + 1 + 200);
+    }
 }
 
 #[test]

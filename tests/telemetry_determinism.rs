@@ -15,9 +15,10 @@
 //! The telemetry store is process-global, so every test that enables the
 //! sink or changes the job count serialises on one lock.
 
+use pacstack::aarch64::{Cpu, Instruction, Reg};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::telemetry;
-use pacstack::{aarch64::Cpu, workloads::measure};
+use pacstack::workloads::measure;
 use pacstack_bench::{exec, tracecmd};
 use proptest::prelude::*;
 use std::sync::Mutex;
@@ -100,6 +101,50 @@ fn enabled_sink_changes_no_architectural_state() {
         });
         assert_eq!(dark, lit, "telemetry changed a {scheme} run");
     }
+}
+
+#[test]
+fn shadow_access_counter_equals_scs_pushes_plus_pops() {
+    let mut m = Module::new();
+    m.push(FuncDef::new(
+        "main",
+        vec![Stmt::Loop(5, vec![Stmt::Call("f".into())]), Stmt::Return],
+    ));
+    m.push(FuncDef::new(
+        "f",
+        vec![Stmt::Call("g".into()), Stmt::MemAccess(2), Stmt::Return],
+    ));
+    m.push(FuncDef::new("g", vec![Stmt::Compute(1), Stmt::Return]));
+    let program = lower(&m, Scheme::ShadowCallStack);
+
+    // Count the lowering's push and pop idioms by single-stepping.
+    let (mut pushes, mut pops) = (0u64, 0u64);
+    let mut cpu = Cpu::with_seed(program.clone(), 7);
+    loop {
+        match cpu.instruction_at(cpu.pc()) {
+            Some(Instruction::StrPost(Reg::X30, Reg::SCS, 8)) => pushes += 1,
+            Some(Instruction::LdrPre(Reg::X30, Reg::SCS, -8)) => pops += 1,
+            _ => {}
+        }
+        if cpu.step().expect("clean run").is_some() {
+            break;
+        }
+    }
+    assert_eq!(pushes, pops);
+    assert!(pushes >= 5, "main and f push LR: {pushes}");
+    assert_eq!(cpu.shadow_accesses(), pushes + pops);
+
+    let published = with_clean_telemetry(1, || {
+        telemetry::enable();
+        let mut cpu = Cpu::with_seed(program, 7);
+        cpu.run(100_000).expect("clean run");
+        (cpu.shadow_accesses(), telemetry::snapshot().counters)
+    });
+    assert_eq!(published.0, pushes + pops);
+    assert_eq!(
+        published.1.get("cpu_shadow_accesses_total"),
+        Some(&(pushes + pops))
+    );
 }
 
 proptest! {
