@@ -1,14 +1,11 @@
 //! The CPU interpreter.
 
 use crate::memory::LAYOUT;
-use crate::profile::{FunctionProfile, Profiler};
 use crate::program::LinkError;
 use crate::regs::RegisterFile;
-use crate::trace::TraceEntry;
 use crate::{Cond, Fault, InsnClass, Instruction, Memory, Program, Reg};
 use pacstack_pauth::{AuthFailure, PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack_telemetry as telemetry;
-use pacstack_telemetry::Ring;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -167,6 +164,10 @@ fn pac_key_tag(key: PaKey) -> u8 {
 /// The simulated CPU: register file, PC, flags, memory, PA unit and cycle
 /// accounting.
 ///
+/// It holds no observers: run it with [`Cpu::run`], single-step it with
+/// [`Cpu::step`], or watch each retired instruction with
+/// [`Cpu::run_observed`].
+///
 /// # Examples
 ///
 /// A return-address overwrite faulting under `retaa` (pac-ret):
@@ -194,7 +195,7 @@ pub struct Cpu {
     /// The linked program, which never changes: clones share it.
     image: Arc<[Instruction]>,
     code_base: u64,
-    symbols: Arc<HashMap<String, u64>>,
+    pub(crate) symbols: Arc<HashMap<String, u64>>,
     pa: PointerAuth,
     keys: PaKeys,
     /// Set when the key registers were corrupted out-of-band (fault
@@ -219,12 +220,9 @@ pub struct Cpu {
     /// them (always counted, like `pac_cache_stats`).
     shadow_accesses: u64,
     output: Vec<u64>,
-    trace: Option<Ring<TraceEntry>>,
-    profiler: Option<Box<Profiler>>,
     /// Watermark of what [`Cpu::publish_telemetry`] has already emitted, so
     /// resumed runs publish deltas exactly once.
     tmark: TelemetryMark,
-    pac_log: Option<Vec<(u64, u64)>>,
     bti: bool,
 }
 
@@ -317,10 +315,7 @@ impl Cpu {
             counters: InsnCounters::default(),
             shadow_accesses: 0,
             output: Vec::new(),
-            trace: None,
-            profiler: None,
             tmark: TelemetryMark::default(),
-            pac_log: None,
             bti: false,
         })
     }
@@ -471,54 +466,9 @@ impl Cpu {
         self.image.get(idx as usize).copied()
     }
 
-    /// Enables execution tracing into a ring buffer of `capacity` entries.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(Ring::new(capacity));
-    }
-
-    /// The execution trace, if tracing is enabled.
-    pub fn trace(&self) -> Option<&Ring<TraceEntry>> {
-        self.trace.as_ref()
-    }
-
-    /// Enables per-function cycle attribution, rooted at the current PC.
-    /// Completed call spans beyond `max_spans` are counted as dropped
-    /// rather than recorded, bounding memory on call-heavy workloads.
-    pub fn enable_profile(&mut self, max_spans: usize) {
-        self.profiler = Some(Box::new(Profiler::new(self.pc, self.cycles, max_spans)));
-    }
-
-    /// Finishes profiling and returns the attribution, or `None` if
-    /// [`Cpu::enable_profile`] was never called. Open frames are closed at
-    /// the current cycle count and addresses resolve via the symbol table.
-    pub fn take_profile(&mut self) -> Option<FunctionProfile> {
-        let profiler = self.profiler.take()?;
-        Some(profiler.finish(self.cycles, &self.symbols))
-    }
-
     /// Memory accesses made through the shadow-stack pointer so far.
     pub fn shadow_accesses(&self) -> u64 {
         self.shadow_accesses
-    }
-
-    /// Starts recording every return-address *signing* event as a
-    /// `(modifier, stripped pointer)` pair — the raw material of the
-    /// paper's §6.1 reuse analysis: two events with equal modifiers but
-    /// different pointers are interchangeable signed pointers.
-    pub fn enable_pac_log(&mut self) {
-        self.pac_log = Some(Vec::new());
-    }
-
-    /// The recorded signing events, if logging is enabled.
-    pub fn pac_log(&self) -> Option<&[(u64, u64)]> {
-        self.pac_log.as_deref()
-    }
-
-    fn log_pac(&mut self, modifier: u64, pointer: u64) {
-        let stripped = self.pa.strip(pointer);
-        if let Some(log) = &mut self.pac_log {
-            log.push((modifier, stripped));
-        }
     }
 
     fn fetch(&self) -> Result<Instruction, Fault> {
@@ -657,35 +607,25 @@ impl Cpu {
     ///
     /// Propagates any [`Fault`].
     pub fn step(&mut self) -> Result<Option<RunStatus>, Fault> {
-        use Instruction::*;
+        let insn = self.retire()?;
+        self.execute(insn)
+    }
+
+    /// Fetches the instruction at the PC and charges its
+    /// [`Instruction::classify`] counts, before it executes (or faults).
+    fn retire(&mut self) -> Result<Instruction, Fault> {
         let insn = self.fetch()?;
         let retire = insn.classify();
         self.cycles += retire.cycles;
         self.instructions += 1;
         self.counters.bump(retire.class);
         self.shadow_accesses += u64::from(retire.shadow);
-        if let Some(trace) = &mut self.trace {
-            trace.record(TraceEntry {
-                pc: self.pc,
-                insn,
-                cycles: self.cycles,
-            });
-        }
-        if let Some(prof) = &mut self.profiler {
-            // Attribute this instruction's (fully charged) cost to the
-            // frame that issued it, then move the frame stack: calls are
-            // charged to the caller, returns to the returning function.
-            prof.attribute(self.cycles);
-            match insn {
-                Bl(target) => prof.enter(target, self.cycles),
-                Blr(n) => {
-                    let target = self.regs.read(n);
-                    prof.enter(target, self.cycles);
-                }
-                Ret | Retaa | Retab => prof.exit(self.cycles),
-                _ => {}
-            }
-        }
+        Ok(insn)
+    }
+
+    /// Executes a fetched and charged instruction.
+    fn execute(&mut self, insn: Instruction) -> Result<Option<RunStatus>, Fault> {
+        use Instruction::*;
         let mut next_pc = self.pc.wrapping_add(4);
 
         match insn {
@@ -809,9 +749,8 @@ impl Cpu {
                 self.regs.write(d, v);
             }
             Paciasp => {
-                let (value, modifier) = (self.regs.read(Reg::LR), self.regs.read(Reg::Sp));
-                self.log_pac(modifier, value);
-                let signed = self.sign_with(PaKey::Ia, value, modifier);
+                let signed =
+                    self.sign_with(PaKey::Ia, self.regs.read(Reg::LR), self.regs.read(Reg::Sp));
                 self.regs.write(Reg::LR, signed);
             }
             Autiasp => {
@@ -866,29 +805,50 @@ impl Cpu {
     }
 
     /// Runs until exit, an unhandled syscall, a fault, or `budget` retired
-    /// instructions.
+    /// instructions: [`Cpu::run_observed`] with an empty observer.
     ///
     /// # Errors
     ///
     /// Returns the [`Fault`] that terminated execution, or
     /// [`Fault::Timeout`] if the budget ran out.
     pub fn run(&mut self, budget: u64) -> Result<Outcome, Fault> {
-        let result = self.run_inner(budget);
+        self.run_observed(budget, |_, _| {})
+    }
+
+    /// Runs like [`Cpu::run`], calling `observe` once per retired
+    /// instruction: after its fetch and cycle charge, before it executes.
+    /// The observer so sees the fetching PC, [`Cpu::cycles`] including the
+    /// instruction's charge, and the registers it will read; an instruction
+    /// that faults is observed too. Traces, the [`Profiler`](crate::Profiler)
+    /// and experiment logs are observers held by their callers.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cpu::run`].
+    pub fn run_observed(
+        &mut self,
+        budget: u64,
+        mut observe: impl FnMut(&Cpu, Instruction),
+    ) -> Result<Outcome, Fault> {
+        let result = self.run_inner(budget, &mut observe);
         if telemetry::enabled() {
             if let Err(fault) = &result {
-                telemetry::counter(
-                    &format!("cpu_faults_total{{kind=\"{}\"}}", fault.label()),
-                    1,
-                );
+                telemetry::counter(fault_counter(fault), 1);
             }
             self.publish_telemetry();
         }
         result
     }
 
-    fn run_inner(&mut self, budget: u64) -> Result<Outcome, Fault> {
+    fn run_inner(
+        &mut self,
+        budget: u64,
+        observe: &mut impl FnMut(&Cpu, Instruction),
+    ) -> Result<Outcome, Fault> {
         for _ in 0..budget {
-            if let Some(status) = self.step()? {
+            let insn = self.retire()?;
+            observe(self, insn);
+            if let Some(status) = self.execute(insn)? {
                 let exit_code = match status {
                     RunStatus::Exited(code) => code,
                     RunStatus::Syscall(_) => 0,
@@ -936,8 +896,7 @@ impl Cpu {
         for class in InsnClass::ALL {
             let delta = self.counters.get(class) - mark.counters.get(class);
             if delta > 0 {
-                let name = format!("cpu_insns_class_total{{class=\"{}\"}}", class.label());
-                telemetry::counter(&name, delta);
+                telemetry::counter(class_counter(class), delta);
             }
         }
         self.tmark = TelemetryMark {
@@ -951,6 +910,31 @@ impl Cpu {
     }
 }
 
+/// The `cpu_faults_total` counter a run that ends in `fault` bumps.
+fn fault_counter(fault: &Fault) -> &'static str {
+    match fault {
+        Fault::TranslationFault { .. } => "cpu_faults_total{kind=\"translation\"}",
+        Fault::AccessFault { .. } => "cpu_faults_total{kind=\"access\"}",
+        Fault::PermissionFault { .. } => "cpu_faults_total{kind=\"permission\"}",
+        Fault::FetchFault { .. } => "cpu_faults_total{kind=\"fetch\"}",
+        Fault::PacFault { .. } => "cpu_faults_total{kind=\"pac\"}",
+        Fault::Timeout => "cpu_faults_total{kind=\"timeout\"}",
+        Fault::SigreturnViolation => "cpu_faults_total{kind=\"sigreturn\"}",
+        Fault::KeyFault { .. } => "cpu_faults_total{kind=\"key\"}",
+        Fault::NoSuchSymbol => "cpu_faults_total{kind=\"no-symbol\"}",
+    }
+}
+
+/// The `cpu_insns_class_total` counter of one retire class.
+fn class_counter(class: InsnClass) -> &'static str {
+    match class {
+        InsnClass::PointerAuth => "cpu_insns_class_total{class=\"pointer_auth\"}",
+        InsnClass::Memory => "cpu_insns_class_total{class=\"memory\"}",
+        InsnClass::Branch => "cpu_insns_class_total{class=\"branch\"}",
+        InsnClass::Other => "cpu_insns_class_total{class=\"other\"}",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -961,6 +945,30 @@ mod tests {
 
     fn run_program(p: Program) -> Result<Outcome, Fault> {
         Cpu::with_seed(p, 7).run(1_000_000)
+    }
+
+    #[test]
+    fn static_counter_names_keep_their_published_bytes() {
+        for class in InsnClass::ALL {
+            let expected = format!("cpu_insns_class_total{{class=\"{}\"}}", class.label());
+            assert_eq!(class_counter(class), expected);
+        }
+        // Distinct names: a shared one would merge two fault kinds.
+        let kinds = [
+            (Fault::TranslationFault { addr: 1 }, "translation"),
+            (Fault::AccessFault { addr: 1 }, "access"),
+            (Fault::PermissionFault { addr: 1 }, "permission"),
+            (Fault::FetchFault { pc: 1 }, "fetch"),
+            (Fault::PacFault { pointer: 1 }, "pac"),
+            (Fault::Timeout, "timeout"),
+            (Fault::SigreturnViolation, "sigreturn"),
+            (Fault::KeyFault { pointer: 1 }, "key"),
+            (Fault::NoSuchSymbol, "no-symbol"),
+        ];
+        for (fault, kind) in kinds {
+            let expected = format!("cpu_faults_total{{kind=\"{kind}\"}}");
+            assert_eq!(fault_counter(&fault), expected);
+        }
     }
 
     #[test]

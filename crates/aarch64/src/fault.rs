@@ -55,26 +55,6 @@ pub enum Fault {
     NoSuchSymbol,
 }
 
-impl Fault {
-    /// A short, stable identifier for the fault kind — the label value
-    /// telemetry uses in `cpu_faults_total{kind="..."}` and chaos-campaign
-    /// classification keys on. Address payloads are deliberately excluded
-    /// so counters aggregate across trials.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Fault::TranslationFault { .. } => "translation",
-            Fault::AccessFault { .. } => "access",
-            Fault::PermissionFault { .. } => "permission",
-            Fault::FetchFault { .. } => "fetch",
-            Fault::PacFault { .. } => "pac",
-            Fault::Timeout => "timeout",
-            Fault::SigreturnViolation => "sigreturn",
-            Fault::KeyFault { .. } => "key",
-            Fault::NoSuchSymbol => "no-symbol",
-        }
-    }
-}
-
 impl fmt::Display for Fault {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -152,13 +132,5 @@ mod tests {
             }
         }
         assert!(Fault::NoSuchSymbol.to_string().contains("symbol"));
-        // Telemetry labels must be distinct too: a shared label would
-        // silently merge two fault kinds in every exported counter.
-        let labels: Vec<&str> = faults.iter().map(Fault::label).collect();
-        for (i, a) in labels.iter().enumerate() {
-            for b in labels.iter().skip(i + 1) {
-                assert_ne!(a, b, "two fault variants share telemetry label {a}");
-            }
-        }
     }
 }

@@ -1,14 +1,15 @@
 //! Per-function cycle attribution.
 //!
-//! The profiler rides the retire loop: every retired instruction's cycle
-//! cost is attributed to the function on top of a simulated call stack that
-//! is pushed on `bl`/`blr` and popped on `ret`/`retaa`/`retab`. Because it
-//! observes only architectural events in the simulated-cycle domain, its
-//! output is deterministic — a function of the program and seed, never of
-//! host scheduling — and feeds the telemetry exporters directly: collapsed
-//! stacks become flamegraph lines, completed frames become Chrome trace
-//! spans.
+//! The [`Profiler`], a [`Cpu::run_observed`] observer, attributes every
+//! retired instruction's cycle cost to the function on top of a simulated
+//! call stack pushed on `bl`/`blr` and popped on `ret`/`retaa`/`retab`.
+//! Because it observes only architectural events in the simulated-cycle
+//! domain, its output is deterministic — a function of the program and
+//! seed, never of host scheduling — and feeds the telemetry exporters
+//! directly: collapsed stacks become flamegraph lines, completed frames
+//! become Chrome trace spans.
 
+use crate::{Cpu, Instruction};
 use std::collections::{BTreeMap, HashMap};
 
 /// A completed function activation, in the simulated-cycle domain.
@@ -49,9 +50,10 @@ struct RawSpan {
     dur: u64,
 }
 
-/// Live profiler state carried by the CPU while profiling is enabled.
+/// Live profiler state: feed it every retired instruction through
+/// [`Cpu::run_observed`], then [`Profiler::finish`] it.
 #[derive(Debug, Clone)]
-pub(crate) struct Profiler {
+pub struct Profiler {
     frames: Vec<Frame>,
     /// Call stack (as entry addresses, outermost first) → self cycles.
     stacks: BTreeMap<Vec<u64>, u64>,
@@ -65,9 +67,11 @@ pub(crate) struct Profiler {
 }
 
 impl Profiler {
-    /// Starts profiling at `root` (the current PC) with `now` cycles
-    /// already on the clock.
-    pub(crate) fn new(root: u64, now: u64, max_spans: usize) -> Self {
+    /// Starts profiling `cpu` at its current PC and cycle count. Call spans
+    /// beyond `max_spans` are counted as dropped rather than recorded,
+    /// bounding memory on call-heavy workloads.
+    pub fn new(cpu: &Cpu, max_spans: usize) -> Self {
+        let (root, now) = (cpu.pc(), cpu.cycles());
         Self {
             frames: vec![Frame {
                 addr: root,
@@ -82,36 +86,44 @@ impl Profiler {
         }
     }
 
+    /// Observes one retired instruction, as [`Cpu::run_observed`] passes it.
+    pub fn observe(&mut self, cpu: &Cpu, insn: Instruction) {
+        // Attribute this instruction's (fully charged) cost to the frame
+        // that issued it, then move the frame stack: calls are charged to
+        // the caller, returns to the returning function.
+        let now = cpu.cycles();
+        self.attribute(now);
+        let callee = match insn {
+            Instruction::Bl(target) => target,
+            Instruction::Blr(n) => cpu.reg(n),
+            // The root frame is never popped: a `ret` seen with only the
+            // root on the stack belongs to a caller outside the window.
+            Instruction::Ret | Instruction::Retaa | Instruction::Retab => {
+                if self.frames.len() > 1 {
+                    if let Some(frame) = self.frames.pop() {
+                        self.record_span(frame, now);
+                    }
+                }
+                return;
+            }
+            _ => return,
+        };
+        self.frames.push(Frame {
+            addr: callee,
+            entered_at: now,
+        });
+    }
+
     fn stack_key(&self) -> Vec<u64> {
         self.frames.iter().map(|f| f.addr).collect()
     }
 
     /// Charges all cycles since the last attribution to the current stack.
-    pub(crate) fn attribute(&mut self, now: u64) {
+    fn attribute(&mut self, now: u64) {
         let delta = now.saturating_sub(self.last_cycles);
         if delta > 0 {
             *self.stacks.entry(self.stack_key()).or_insert(0) += delta;
             self.last_cycles = now;
-        }
-    }
-
-    /// Records entry into the function at `addr`.
-    pub(crate) fn enter(&mut self, addr: u64, now: u64) {
-        self.frames.push(Frame {
-            addr,
-            entered_at: now,
-        });
-    }
-
-    /// Records a return from the current function.
-    pub(crate) fn exit(&mut self, now: u64) {
-        // The root frame is never popped: a `ret` seen with only the root
-        // on the stack belongs to a caller outside the profiled window.
-        if self.frames.len() <= 1 {
-            return;
-        }
-        if let Some(frame) = self.frames.pop() {
-            self.record_span(frame, now);
         }
     }
 
@@ -127,9 +139,10 @@ impl Profiler {
         }
     }
 
-    /// Attributes the residual tail, closes every open frame, and resolves
-    /// addresses to names via the program's symbol table.
-    pub(crate) fn finish(mut self, now: u64, symbols: &HashMap<String, u64>) -> FunctionProfile {
+    /// Attributes the residual tail, closes every open frame at `cpu`'s cycle
+    /// count, and resolves addresses to names via `cpu`'s symbol table.
+    pub fn finish(mut self, cpu: &Cpu) -> FunctionProfile {
+        let (now, symbols) = (cpu.cycles(), cpu.symbols.as_ref());
         self.attribute(now);
         while let Some(frame) = self.frames.pop() {
             self.record_span(frame, now);
@@ -189,9 +202,10 @@ impl Profiler {
 mod tests {
     #![allow(clippy::unwrap_used)]
 
+    use super::*;
     use crate::program::Op;
     use crate::Instruction::*;
-    use crate::{Cpu, Program, Reg};
+    use crate::{Outcome, Program, Reg};
 
     fn call_tree_program() -> Program {
         let mut p = Program::new();
@@ -210,22 +224,25 @@ mod tests {
         p
     }
 
+    fn profiled_run(max_spans: usize) -> (Outcome, FunctionProfile) {
+        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
+        let mut profiler = Profiler::new(&cpu, max_spans);
+        let out = cpu
+            .run_observed(10_000, |cpu, insn| profiler.observe(cpu, insn))
+            .unwrap();
+        (out, profiler.finish(&cpu))
+    }
+
     #[test]
     fn self_cycles_partition_total_cycles() {
-        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
-        cpu.enable_profile(64);
-        let out = cpu.run(10_000).unwrap();
-        let profile = cpu.take_profile().unwrap();
+        let (out, profile) = profiled_run(64);
         let attributed: u64 = profile.stacks.iter().map(|(_, c)| c).sum();
         assert_eq!(attributed, out.cycles, "{profile:?}");
     }
 
     #[test]
     fn stacks_and_spans_name_the_call_tree() {
-        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
-        cpu.enable_profile(64);
-        cpu.run(10_000).unwrap();
-        let profile = cpu.take_profile().unwrap();
+        let (_, profile) = profiled_run(64);
         let stacks: Vec<&str> = profile.stacks.iter().map(|(s, _)| s.as_str()).collect();
         assert!(stacks.contains(&"_start;main;leaf"), "{stacks:?}");
         assert!(stacks.contains(&"_start;main"), "{stacks:?}");
@@ -236,10 +253,7 @@ mod tests {
 
     #[test]
     fn span_cap_counts_drops_deterministically() {
-        let mut cpu = Cpu::with_seed(call_tree_program(), 7);
-        cpu.enable_profile(1);
-        cpu.run(10_000).unwrap();
-        let profile = cpu.take_profile().unwrap();
+        let (_, profile) = profiled_run(1);
         assert_eq!(profile.spans.len(), 1);
         // Two leaf returns, one main return, plus the root and main frames
         // closed by finish(): everything past the first span is dropped.
@@ -249,10 +263,7 @@ mod tests {
     #[test]
     fn profiling_is_architecturally_invisible() {
         let mut plain = Cpu::with_seed(call_tree_program(), 7);
-        let mut profiled = Cpu::with_seed(call_tree_program(), 7);
-        profiled.enable_profile(64);
-        let a = plain.run(10_000).unwrap();
-        let b = profiled.run(10_000).unwrap();
-        assert_eq!(a, b);
+        let (profiled, _) = profiled_run(64);
+        assert_eq!(plain.run(10_000).unwrap(), profiled);
     }
 }

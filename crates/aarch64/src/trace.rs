@@ -1,9 +1,9 @@
 //! Execution tracing and disassembly — the debugging surface a real
 //! simulator ships with.
 //!
-//! The ring buffer lives in `pacstack_telemetry` as the generic
-//! [`Ring`](pacstack_telemetry::Ring); this module keeps the CPU-specific
-//! entry type and the disassembler.
+//! A trace is a [`Ring`](pacstack_telemetry::Ring) of
+//! [`TraceEntry::observed`] records, filled by a [`Cpu::run_observed`]
+//! observer; this module keeps the entry type and the disassembler.
 
 use crate::{Cpu, Instruction};
 use std::fmt;
@@ -16,11 +16,22 @@ pub struct TraceEntry {
     /// The instruction.
     pub insn: Instruction,
     /// Cumulative cycle count *after* this instruction retired — always
-    /// equal to [`Cpu::cycles`](crate::Cpu::cycles) at the retire point,
-    /// shadow-stack surcharge included, because the CPU charges the whole
-    /// [`Instruction::classify`](crate::Instruction::classify) cycle
-    /// charge before recording.
+    /// equal to [`Cpu::cycles`](crate::Cpu::cycles) at the observation
+    /// point, shadow-stack surcharge included, because the CPU charges the
+    /// whole [`Instruction::classify`](crate::Instruction::classify) cycle
+    /// charge before it calls the observer.
     pub cycles: u64,
+}
+
+impl TraceEntry {
+    /// The entry for `insn` as a [`Cpu::run_observed`] observer sees it.
+    pub fn observed(cpu: &Cpu, insn: Instruction) -> Self {
+        Self {
+            pc: cpu.pc(),
+            insn,
+            cycles: cpu.cycles(),
+        }
+    }
 }
 
 impl fmt::Display for TraceEntry {

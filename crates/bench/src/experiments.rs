@@ -1,6 +1,6 @@
 //! The experiments, one function per table/figure.
 
-use pacstack_aarch64::{Cpu, InsnCounters};
+use pacstack_aarch64::{Cpu, InsnCounters, Instruction, Reg};
 use pacstack_acs::security::{self, ViolationKind};
 use pacstack_acs::Masking;
 use pacstack_attacks::{collision, gadget, guessing, offgraph, reuse, rop};
@@ -414,7 +414,7 @@ pub fn ablations() -> Vec<AblationRow> {
                 instrument_leaves: leaves,
             },
         );
-        run_to_exit(&mut Cpu::with_seed(program, 1), scheme, BUDGET).cycles
+        run_to_exit(&mut Cpu::with_seed(program, 1), scheme, BUDGET, |_, _| {}).cycles
     };
     let configs = [
         (Scheme::PacStack, false),
@@ -564,7 +564,7 @@ pub fn instruction_mix() -> Vec<MixRow> {
     let run = |scheme: Scheme| {
         let program = pacstack_compiler::lower(&module, scheme);
         let mut cpu = Cpu::with_seed(program, 1);
-        run_to_exit(&mut cpu, scheme, BUDGET);
+        run_to_exit(&mut cpu, scheme, BUDGET, |_, _| {});
         cpu.counters()
     };
     let swept = exec::parallel_map(&Scheme::ALL, |_, &scheme| run(scheme));
@@ -679,15 +679,14 @@ pub fn reuse_opportunities() -> Vec<ReuseRow> {
         |_, &scheme| {
             let program = pacstack_compiler::lower(&module, scheme);
             let mut cpu = Cpu::with_seed(program, 1);
-            cpu.enable_pac_log();
-            run_to_exit(&mut cpu, scheme, BUDGET);
-            // Only pac-ret spills its signed LR; the PACStack variants keep
-            // it in CR (the attack surface the metric is about).
-            let spilled: Vec<(u64, u64)> = if scheme == Scheme::PacRet {
-                cpu.pac_log().expect("logging enabled").to_vec()
-            } else {
-                Vec::new()
-            };
+            // Signings as (modifier, stripped pointer). Only pac-ret spills
+            // its signed LR; the PACStack variants keep it in CR.
+            let mut spilled: Vec<(u64, u64)> = Vec::new();
+            run_to_exit(&mut cpu, scheme, BUDGET, |cpu, insn| {
+                if scheme == Scheme::PacRet && insn == Instruction::Paciasp {
+                    spilled.push((cpu.reg(Reg::Sp), cpu.pa().strip(cpu.reg(Reg::LR))));
+                }
+            });
             let mut groups: HashMap<u64, std::collections::BTreeSet<u64>> = HashMap::new();
             for &(modifier, pointer) in &spilled {
                 groups.entry(modifier).or_default().insert(pointer);

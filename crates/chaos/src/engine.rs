@@ -63,23 +63,13 @@ pub enum TrialOutcome {
     Hang,
 }
 
-impl TrialOutcome {
-    /// Short label for rendering.
-    pub fn label(self) -> &'static str {
-        match self {
-            TrialOutcome::DetectedCrash(_) => "detected",
-            TrialOutcome::SilentCorruption => "silent",
-            TrialOutcome::Masked => "masked",
-            TrialOutcome::Hang => "hang",
-        }
-    }
-}
-
 impl fmt::Display for TrialOutcome {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TrialOutcome::DetectedCrash(fault) => write!(f, "detected ({fault})"),
-            other => f.write_str(other.label()),
+            TrialOutcome::SilentCorruption => f.write_str("silent"),
+            TrialOutcome::Masked => f.write_str("masked"),
+            TrialOutcome::Hang => f.write_str("hang"),
         }
     }
 }
@@ -287,15 +277,9 @@ impl PreparedTarget {
         let mut cpu = self.base.clone();
         let outcome = self.trial_loop(&mut cpu, plan);
         if telemetry::enabled() {
-            telemetry::counter(
-                &format!("chaos_trials_total{{outcome=\"{}\"}}", outcome.label()),
-                1,
-            );
+            telemetry::counter(trials_counter(outcome), 1);
             if let TrialOutcome::DetectedCrash(fault) = outcome {
-                telemetry::counter(
-                    &format!("chaos_detected_total{{fault=\"{}\"}}", fault.label()),
-                    1,
-                );
+                telemetry::counter(detected_counter(&fault), 1);
             }
             telemetry::observe_cycles("chaos_trial_cycles", cpu.cycles());
             cpu.publish_telemetry();
@@ -368,6 +352,31 @@ impl PreparedTarget {
     }
 }
 
+/// The `chaos_trials_total` counter a trial ending in `outcome` bumps.
+fn trials_counter(outcome: TrialOutcome) -> &'static str {
+    match outcome {
+        TrialOutcome::DetectedCrash(_) => "chaos_trials_total{outcome=\"detected\"}",
+        TrialOutcome::SilentCorruption => "chaos_trials_total{outcome=\"silent\"}",
+        TrialOutcome::Masked => "chaos_trials_total{outcome=\"masked\"}",
+        TrialOutcome::Hang => "chaos_trials_total{outcome=\"hang\"}",
+    }
+}
+
+/// The `chaos_detected_total` counter a trial detected by `fault` bumps.
+fn detected_counter(fault: &Fault) -> &'static str {
+    match fault {
+        Fault::TranslationFault { .. } => "chaos_detected_total{fault=\"translation\"}",
+        Fault::AccessFault { .. } => "chaos_detected_total{fault=\"access\"}",
+        Fault::PermissionFault { .. } => "chaos_detected_total{fault=\"permission\"}",
+        Fault::FetchFault { .. } => "chaos_detected_total{fault=\"fetch\"}",
+        Fault::PacFault { .. } => "chaos_detected_total{fault=\"pac\"}",
+        Fault::Timeout => "chaos_detected_total{fault=\"timeout\"}",
+        Fault::SigreturnViolation => "chaos_detected_total{fault=\"sigreturn\"}",
+        Fault::KeyFault { .. } => "chaos_detected_total{fault=\"key\"}",
+        Fault::NoSuchSymbol => "chaos_detected_total{fault=\"no-symbol\"}",
+    }
+}
+
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -375,6 +384,35 @@ mod tests {
     use super::*;
     use crate::campaign::chaos_module;
     use crate::plan::InjectionPlan;
+
+    #[test]
+    fn static_counter_names_keep_their_published_bytes() {
+        let kinds = [
+            (Fault::TranslationFault { addr: 1 }, "translation"),
+            (Fault::AccessFault { addr: 1 }, "access"),
+            (Fault::PermissionFault { addr: 1 }, "permission"),
+            (Fault::FetchFault { pc: 1 }, "fetch"),
+            (Fault::PacFault { pointer: 1 }, "pac"),
+            (Fault::Timeout, "timeout"),
+            (Fault::SigreturnViolation, "sigreturn"),
+            (Fault::KeyFault { pointer: 1 }, "key"),
+            (Fault::NoSuchSymbol, "no-symbol"),
+        ];
+        for (fault, kind) in kinds {
+            let expected = format!("chaos_detected_total{{fault=\"{kind}\"}}");
+            assert_eq!(detected_counter(&fault), expected);
+        }
+        let outcomes = [
+            (TrialOutcome::DetectedCrash(Fault::Timeout), "detected"),
+            (TrialOutcome::SilentCorruption, "silent"),
+            (TrialOutcome::Masked, "masked"),
+            (TrialOutcome::Hang, "hang"),
+        ];
+        for (outcome, label) in outcomes {
+            let expected = format!("chaos_trials_total{{outcome=\"{label}\"}}");
+            assert_eq!(trials_counter(outcome), expected);
+        }
+    }
 
     fn prepared(label: &str) -> PreparedTarget {
         let target = *TARGETS.iter().find(|t| t.label == label).unwrap();

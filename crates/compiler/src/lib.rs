@@ -37,6 +37,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No `unwrap`/`expect` outside tests, which opt back in locally.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod ir;
 mod lower;

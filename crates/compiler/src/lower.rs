@@ -587,6 +587,8 @@ impl<'a> FunctionLowering<'a> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
     use pacstack_aarch64::Cpu;
 

@@ -209,6 +209,8 @@ pub fn masking_of(scheme: crate::Scheme) -> Option<Masking> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
     use crate::{lower, FuncDef, Module, Scheme, Stmt};
     use pacstack_aarch64::RunStatus;

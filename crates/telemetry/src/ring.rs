@@ -1,10 +1,6 @@
-//! A bounded, generic most-recent-entries ring buffer.
-//!
-//! Generalises the CPU execution-trace buffer that used to live in
-//! `pacstack_aarch64::trace`: any `Display`-able entry type gets the same
-//! keep-the-tail semantics and the same "... N earlier entries elided ..."
-//! rendering. Entries are stored contiguously so `entries()` can hand out
-//! a plain slice, which keeps the migrated `Trace` API source-compatible.
+//! A bounded, generic most-recent-entries ring buffer: the holder of an
+//! execution trace (`pacstack_aarch64::trace`). Any `Display`-able entry
+//! type renders as "... N earlier instructions elided ..." plus the tail.
 
 use std::fmt;
 
@@ -57,21 +53,6 @@ impl<T> Ring<T> {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True when nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
 }
 
 impl<T: fmt::Display> fmt::Display for Ring<T> {
@@ -96,7 +77,6 @@ mod tests {
         for i in 0..10 {
             ring.record(i);
         }
-        assert_eq!(ring.len(), 3);
         assert_eq!(ring.dropped(), 7);
         assert_eq!(ring.entries(), &[7, 8, 9]);
     }

@@ -26,6 +26,8 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No `unwrap`/`expect` outside tests, which opt back in locally.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod confirm;
 pub mod measure;

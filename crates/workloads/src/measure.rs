@@ -1,6 +1,6 @@
 //! Measurement helpers: run a module under each scheme, report overheads.
 
-use pacstack_aarch64::{Cpu, Fault, RunStatus};
+use pacstack_aarch64::{Cpu, Fault, Instruction, Profiler, RunStatus};
 use pacstack_compiler::{lower, Module, Scheme};
 use pacstack_telemetry as telemetry;
 use pacstack_telemetry::SpanEvent;
@@ -27,7 +27,7 @@ pub struct Measurement {
 /// Panics if the program faults or exceeds `budget` instructions — workload
 /// programs are supposed to run clean under every scheme.
 pub fn run_module(module: &Module, scheme: Scheme, budget: u64) -> Measurement {
-    run_to_exit(&mut cpu_for(module, scheme), scheme, budget)
+    run_to_exit(&mut cpu_for(module, scheme), scheme, budget, |_, _| {})
 }
 
 /// Runs `module` under `scheme` with per-function cycle attribution and
@@ -36,9 +36,9 @@ pub fn run_module(module: &Module, scheme: Scheme, budget: u64) -> Measurement {
 /// Collapsed call stacks land as flamegraph entries prefixed with `track`
 /// (`"{track};{stack}"`), completed activations as span events on the
 /// `track` timeline, and the run's architectural counters via
-/// [`Cpu::publish_telemetry`]. With telemetry disabled this is exactly
-/// [`run_module`] plus a dormant profiler: the measurement is identical
-/// because profiling never touches architectural state.
+/// [`Cpu::publish_telemetry`]. With telemetry disabled the profile is
+/// discarded; either way the measurement equals [`run_module`]'s because
+/// the [`Profiler`] only observes the run.
 ///
 /// # Panics
 ///
@@ -50,28 +50,29 @@ pub fn run_module_profiled(
     track: &str,
 ) -> Measurement {
     let mut cpu = cpu_for(module, scheme);
-    cpu.enable_profile(PROFILE_SPAN_CAP);
-    let m = run_to_exit(&mut cpu, scheme, budget);
+    let mut profiler = Profiler::new(&cpu, PROFILE_SPAN_CAP);
+    let m = run_to_exit(&mut cpu, scheme, budget, |cpu, insn| {
+        profiler.observe(cpu, insn)
+    });
     if telemetry::enabled() {
-        if let Some(profile) = cpu.take_profile() {
-            for (stack, self_cycles) in &profile.stacks {
-                telemetry::stack(&format!("{track};{stack}"), *self_cycles);
-            }
-            for span in &profile.spans {
-                telemetry::span(SpanEvent::new(
-                    track,
-                    span.name.as_str(),
-                    "function",
-                    span.start,
-                    span.dur,
-                ));
-            }
-            if profile.dropped_spans > 0 {
-                telemetry::counter(
-                    "workload_profile_spans_dropped_total",
-                    profile.dropped_spans,
-                );
-            }
+        let profile = profiler.finish(&cpu);
+        for (stack, self_cycles) in &profile.stacks {
+            telemetry::stack(&format!("{track};{stack}"), *self_cycles);
+        }
+        for span in &profile.spans {
+            telemetry::span(SpanEvent::new(
+                track,
+                span.name.as_str(),
+                "function",
+                span.start,
+                span.dur,
+            ));
+        }
+        if profile.dropped_spans > 0 {
+            telemetry::counter(
+                "workload_profile_spans_dropped_total",
+                profile.dropped_spans,
+            );
         }
         telemetry::observe_cycles("workload_run_cycles", m.cycles);
     }
@@ -84,17 +85,22 @@ fn cpu_for(module: &Module, scheme: Scheme) -> Cpu {
     Cpu::with_seed(lower(module, scheme), 0xACE5)
 }
 
-/// Runs `cpu`, holding a program lowered under `scheme`, to its exit and
-/// measures it: the run-and-check body of [`run_module`],
-/// [`run_module_profiled`] and every experiment that reads more of the CPU
-/// than a [`Measurement`].
+/// Runs `cpu`, holding a program lowered under `scheme`, to its exit with
+/// `observe` as the [`Cpu::run_observed`] observer, and measures it: the
+/// run-and-check body of [`run_module`], [`run_module_profiled`] and every
+/// experiment that reads more of the CPU than a [`Measurement`].
 ///
 /// # Panics
 ///
 /// Panics, naming `scheme`, if the program faults, raises a syscall or
 /// exceeds `budget` instructions.
-pub fn run_to_exit(cpu: &mut Cpu, scheme: Scheme, budget: u64) -> Measurement {
-    match cpu.run(budget) {
+pub fn run_to_exit(
+    cpu: &mut Cpu,
+    scheme: Scheme,
+    budget: u64,
+    observe: impl FnMut(&Cpu, Instruction),
+) -> Measurement {
+    match cpu.run_observed(budget, observe) {
         Ok(out) => match out.status {
             RunStatus::Exited(code) => Measurement {
                 cycles: out.cycles,

@@ -242,6 +242,8 @@ pub fn c_benchmark(name: &str) -> Option<&'static BenchProfile> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
     use crate::measure::{overhead_percent, run_module};
     use pacstack_compiler::Scheme;

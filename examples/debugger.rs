@@ -7,11 +7,12 @@
 //! cargo run --example debugger
 //! ```
 
-use pacstack::aarch64::trace::disassemble_around;
+use pacstack::aarch64::trace::{disassemble_around, TraceEntry};
 use pacstack::aarch64::{Cpu, Reg, RunStatus};
 use pacstack::acs::Masking;
 use pacstack::compiler::unwind::{backtrace, validated_backtrace};
 use pacstack::compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
+use pacstack::telemetry::Ring;
 
 fn main() {
     let mut m = Module::new();
@@ -34,14 +35,18 @@ fn main() {
     m.push(FuncDef::new("apply", vec![Stmt::Compute(3), Stmt::Return]));
 
     let mut cpu = Cpu::with_seed(lower(&m, Scheme::PacStack), 7);
-    cpu.enable_trace(12);
-    let out = cpu.run(100_000).expect("reaches breakpoint");
+    let mut trace = Ring::new(12);
+    let out = cpu
+        .run_observed(100_000, |cpu, insn| {
+            trace.record(TraceEntry::observed(cpu, insn))
+        })
+        .expect("reaches breakpoint");
     assert_eq!(out.status, RunStatus::Syscall(42));
 
     println!("== stopped at 'breakpoint' inside eval() ==\n");
 
     println!("last instructions executed:");
-    println!("{}", cpu.trace().expect("tracing enabled"));
+    println!("{trace}");
 
     println!("disassembly around pc:");
     println!("{}", disassemble_around(&cpu, cpu.pc() - 4, 3));

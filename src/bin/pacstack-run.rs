@@ -9,8 +9,9 @@
 //! PACStack-instrumented function written by hand.
 
 use pacstack::aarch64::asm::parse_program;
-use pacstack::aarch64::trace::disassemble_around;
+use pacstack::aarch64::trace::{disassemble_around, TraceEntry};
 use pacstack::aarch64::{Cpu, RunStatus};
+use pacstack::telemetry::Ring;
 use std::process::ExitCode;
 
 struct Options {
@@ -94,12 +95,15 @@ fn main() -> ExitCode {
     if options.fpac {
         cpu.enable_fpac();
     }
-    if options.trace {
-        cpu.enable_trace(32);
-    }
+    let mut trace = options.trace.then(|| Ring::new(32));
 
     loop {
-        match cpu.run(options.budget) {
+        let result = cpu.run_observed(options.budget, |cpu, insn| {
+            if let Some(trace) = &mut trace {
+                trace.record(TraceEntry::observed(cpu, insn));
+            }
+        });
+        match result {
             Ok(out) => match out.status {
                 RunStatus::Exited(code) => {
                     for value in cpu.output() {
@@ -117,10 +121,8 @@ fn main() -> ExitCode {
             },
             Err(fault) => {
                 eprintln!("fault: {fault}");
-                if options.trace {
-                    if let Some(trace) = cpu.trace() {
-                        eprintln!("\nlast instructions:\n{trace}");
-                    }
+                if let Some(trace) = &trace {
+                    eprintln!("\nlast instructions:\n{trace}");
                 }
                 eprintln!(
                     "disassembly near pc:\n{}",

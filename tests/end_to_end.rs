@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: the full pipeline from cipher to
 //! instrumented execution and attack detection.
 
-use pacstack::aarch64::{Cpu, Fault, Reg, RunStatus};
+use pacstack::aarch64::{Cpu, Fault, Instruction, Reg, RunStatus};
 use pacstack::acs::{AcsConfig, AuthenticatedCallStack, Masking};
 use pacstack::compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::pauth::{PaKey, PaKeys, PointerAuth, VaLayout};
@@ -29,7 +29,8 @@ fn cipher_feeds_pac_feeds_acs() {
 #[test]
 fn simulator_chain_matches_state_machine() {
     // Run an instrumented program to a checkpoint and check that the CR
-    // register holds exactly what the pure ACS model predicts.
+    // register holds exactly what the pure ACS model predicts for the
+    // calls still open there, with their real return addresses.
     let mut module = Module::new();
     module.push(FuncDef::new(
         "main",
@@ -48,41 +49,41 @@ fn simulator_chain_matches_state_machine() {
         vec![Stmt::Compute(1), Stmt::Return],
     ));
 
-    let program = lower(&module, Scheme::PacStack);
-    let mut cpu = Cpu::with_seed(program, 7);
-    let out = cpu.run(100_000).unwrap();
-    assert_eq!(out.status, RunStatus::Syscall(50));
+    for (scheme, masking) in [
+        (Scheme::PacStack, Masking::Masked),
+        (Scheme::PacStackNomask, Masking::Unmasked),
+    ] {
+        let mut cpu = Cpu::with_seed(lower(&module, scheme), 7);
+        // The return address of every call not yet returned from: `pc + 4`
+        // of each `bl`/`blr`, dropped again at its `ret`.
+        let mut open_calls: Vec<u64> = Vec::new();
+        let out = cpu
+            .run_observed(100_000, |cpu, insn| match insn {
+                Instruction::Bl(_) | Instruction::Blr(_) => open_calls.push(cpu.pc() + 4),
+                Instruction::Ret | Instruction::Retaa | Instruction::Retab => {
+                    open_calls.pop();
+                }
+                _ => {}
+            })
+            .unwrap();
+        assert_eq!(out.status, RunStatus::Syscall(50));
+        // The entry stub's call of main, then main's call of inner.
+        assert_eq!(open_calls.len(), 2, "{scheme}: {open_calls:x?}");
 
-    // Model: the stub calls main (ret_0 = stub+4... = entry+4), then main
-    // calls inner. Reconstruct with the actual return addresses.
-    let entry = 0x40_0000u64;
-    let ret_in_stub = entry + 4;
-    let main_addr = cpu.symbol("main").unwrap();
-    // main's prologue is 9 ops (PacStack: StrPre, Stp, mov, pacia, pacia,
-    // eor, mov, mov + pressure str) and the call is the next op.
-    let mut model = AuthenticatedCallStack::new(
-        PointerAuth::new(VaLayout::default()),
-        cpu.keys().clone(),
-        AcsConfig::default(),
-    );
-    model.call(ret_in_stub);
-    // Find the actual return address for the bl inside main: scan forward
-    // from main until the chain register matches. (The model proves the
-    // construction; the scan keeps the test robust to prologue length.)
-    let mut matched = false;
-    for insn_index in 0..64u64 {
-        let candidate_ret = main_addr + insn_index * 4;
-        let mut probe = model.clone();
-        probe.call(candidate_ret);
-        if probe.chain_register() == cpu.reg(Reg::CR) {
-            matched = true;
-            break;
+        let mut model = AuthenticatedCallStack::new(
+            PointerAuth::new(VaLayout::default()),
+            cpu.keys().clone(),
+            AcsConfig::new().masking(masking),
+        );
+        for &ret in &open_calls {
+            model.call(ret);
         }
+        assert_eq!(
+            cpu.reg(Reg::CR),
+            model.chain_register(),
+            "{scheme}: simulator CR differs from the ACS model"
+        );
     }
-    assert!(
-        matched,
-        "simulator CR does not correspond to any model chain value"
-    );
 }
 
 #[test]

@@ -15,7 +15,7 @@
 //! The telemetry store is process-global, so every test that enables the
 //! sink or changes the job count serialises on one lock.
 
-use pacstack::aarch64::{Cpu, Instruction, Reg};
+use pacstack::aarch64::{Cpu, Instruction, Profiler, Reg};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::telemetry;
 use pacstack::workloads::measure;
@@ -163,8 +163,8 @@ proptest! {
         let run_lit = with_clean_telemetry(1, || {
             telemetry::enable();
             let mut cpu = Cpu::with_seed(program.clone(), 7);
-            cpu.enable_profile(1 << 12);
-            cpu.run(2_000_000)
+            let mut profiler = Profiler::new(&cpu, 1 << 12);
+            cpu.run_observed(2_000_000, |cpu, insn| profiler.observe(cpu, insn))
         });
         match (run_dark, run_lit) {
             (Ok(dark), Ok(lit)) => {
