@@ -164,9 +164,9 @@ fn pac_key_tag(key: PaKey) -> u8 {
 /// The simulated CPU: register file, PC, flags, memory, PA unit and cycle
 /// accounting.
 ///
-/// It holds no observers: run it with [`Cpu::run`], single-step it with
-/// [`Cpu::step`], or watch each retired instruction with
-/// [`Cpu::run_observed`].
+/// It holds no observers. [`Cpu::run_observed`] is its one retire loop and
+/// calls a caller-held observer per retired instruction; [`Cpu::run`] is
+/// that loop with an empty observer, followed by a telemetry publish.
 ///
 /// # Examples
 ///
@@ -596,21 +596,6 @@ impl Cpu {
         }
     }
 
-    /// Executes one instruction — the interposition point for fault
-    /// injection: a harness can perturb architectural state between any two
-    /// retired instructions.
-    ///
-    /// Returns `Ok(None)` while the program is still running, or
-    /// `Ok(Some(status))` on exit / unhandled syscall.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any [`Fault`].
-    pub fn step(&mut self) -> Result<Option<RunStatus>, Fault> {
-        let insn = self.retire()?;
-        self.execute(insn)
-    }
-
     /// Fetches the instruction at the PC and charges its
     /// [`Instruction::classify`] counts, before it executes (or faults).
     fn retire(&mut self) -> Result<Instruction, Fault> {
@@ -805,45 +790,48 @@ impl Cpu {
     }
 
     /// Runs until exit, an unhandled syscall, a fault, or `budget` retired
-    /// instructions: [`Cpu::run_observed`] with an empty observer.
+    /// instructions: [`Cpu::run_observed`] with an empty observer, then its
+    /// `cpu_faults_total` bump and [`Cpu::publish_telemetry`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Cpu::run_observed`].
+    pub fn run(&mut self, budget: u64) -> Result<Outcome, Fault> {
+        let result = self.run_observed(budget, |_, _| {});
+        self.publish_run(result.as_ref().err());
+        result
+    }
+
+    /// The telemetry of a run that has ended, in `fault` if it faulted: one
+    /// `cpu_faults_total` bump for the fault, then [`Cpu::publish_telemetry`].
+    pub(crate) fn publish_run(&mut self, fault: Option<&Fault>) {
+        if telemetry::enabled() {
+            if let Some(fault) = fault {
+                telemetry::counter(fault_counter(fault), 1);
+            }
+            self.publish_telemetry();
+        }
+    }
+
+    /// The retire loop, and the only way to execute instructions. Per
+    /// instruction it fetches, charges the [`Instruction::classify`] counts,
+    /// calls `observe` and executes; it publishes no telemetry. The observer
+    /// so sees the fetching PC, [`Cpu::cycles`] including the charge, and
+    /// the registers the instruction will read; a faulting one is observed.
+    /// Running out of `budget` is a clean pause: the next call resumes at
+    /// the next instruction, re-validating the PC.
     ///
     /// # Errors
     ///
     /// Returns the [`Fault`] that terminated execution, or
     /// [`Fault::Timeout`] if the budget ran out.
-    pub fn run(&mut self, budget: u64) -> Result<Outcome, Fault> {
-        self.run_observed(budget, |_, _| {})
-    }
-
-    /// Runs like [`Cpu::run`], calling `observe` once per retired
-    /// instruction: after its fetch and cycle charge, before it executes.
-    /// The observer so sees the fetching PC, [`Cpu::cycles`] including the
-    /// instruction's charge, and the registers it will read; an instruction
-    /// that faults is observed too. Traces, the [`Profiler`](crate::Profiler)
-    /// and experiment logs are observers held by their callers.
-    ///
-    /// # Errors
-    ///
-    /// As [`Cpu::run`].
+    // Kept out of line: inlined into `run`'s callers, the loop retired
+    // about a quarter fewer instructions per second.
+    #[inline(never)]
     pub fn run_observed(
         &mut self,
         budget: u64,
         mut observe: impl FnMut(&Cpu, Instruction),
-    ) -> Result<Outcome, Fault> {
-        let result = self.run_inner(budget, &mut observe);
-        if telemetry::enabled() {
-            if let Err(fault) = &result {
-                telemetry::counter(fault_counter(fault), 1);
-            }
-            self.publish_telemetry();
-        }
-        result
-    }
-
-    fn run_inner(
-        &mut self,
-        budget: u64,
-        observe: &mut impl FnMut(&Cpu, Instruction),
     ) -> Result<Outcome, Fault> {
         for _ in 0..budget {
             let insn = self.retire()?;
@@ -866,9 +854,10 @@ impl Cpu {
 
     /// Publishes the delta of every monotonic performance counter since the
     /// previous publish into the active telemetry sink. [`Cpu::run`] calls
-    /// this on every exit path; harnesses that drive [`Cpu::step`] directly
-    /// (fault-injection trials) call it at trial end. No-op, with no
-    /// watermark movement, while telemetry is disabled.
+    /// this on every exit path; harnesses that drive [`Cpu::run_observed`]
+    /// call it once their run is over (a measured workload run, a
+    /// fault-injection trial), so pauses between segments publish nothing.
+    /// No-op, with no watermark movement, while telemetry is disabled.
     pub fn publish_telemetry(&mut self) {
         if !telemetry::enabled() {
             return;

@@ -274,7 +274,8 @@ impl Scheduler {
     /// Runs all tasks round-robin, `quantum` instructions at a time, until
     /// every task has exited or `max_slices` time slices have elapsed.
     ///
-    /// Returns the exit codes in spawn order.
+    /// Returns the exit codes in spawn order. A quantum expiry is a pause,
+    /// not a fault; telemetry is published on return, as by [`Cpu::run`].
     ///
     /// # Errors
     ///
@@ -288,9 +289,12 @@ impl Scheduler {
         max_slices: u64,
     ) -> Result<Vec<u64>, Fault> {
         let mut slices = 0;
-        while self.live_tasks() > 0 {
+        let result = loop {
+            if self.live_tasks() == 0 {
+                break Ok(());
+            }
             if slices >= max_slices {
-                return Err(Fault::Timeout);
+                break Err(Fault::Timeout);
             }
             slices += 1;
             // Pick the next runnable task, taking its context as we find it.
@@ -304,13 +308,13 @@ impl Scheduler {
                 }
             }
             let Some((idx, context)) = selected else {
-                break;
+                break Ok(());
             };
             self.current = idx;
             let task = &mut self.tasks[idx];
             cpu.restore_context(&context);
 
-            match cpu.run(quantum) {
+            match cpu.run_observed(quantum, |_, _| {}) {
                 Ok(out) => match out.status {
                     crate::RunStatus::Exited(code) => {
                         task.exit_code = Some(code);
@@ -324,15 +328,17 @@ impl Scheduler {
                 Err(Fault::Timeout) => {
                     task.context = Some(cpu.save_context());
                 }
-                Err(fault) => return Err(fault),
+                Err(fault) => break Err(fault),
             }
             self.current = (self.current + 1) % n;
-        }
-        Ok(self
-            .tasks
-            .iter()
-            .map(|t| t.exit_code.unwrap_or(0))
-            .collect())
+        };
+        cpu.publish_run(result.as_ref().err());
+        result.map(|()| {
+            self.tasks
+                .iter()
+                .map(|t| t.exit_code.unwrap_or(0))
+                .collect()
+        })
     }
 }
 

@@ -1,6 +1,7 @@
 //! The observer contract of [`Cpu::run_observed`]: called once per retired
-//! instruction, after the cycle charge and before the instruction executes,
-//! and otherwise exactly [`Cpu::run`].
+//! instruction, after the cycle charge and before the instruction executes.
+//! The raw loop publishes no telemetry; [`Cpu::run`] is that loop plus
+//! [`Cpu::publish_telemetry`] and the run's `cpu_faults_total` bump.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -126,12 +127,29 @@ fn published(
 // The only test in this binary that enables telemetry: the store is
 // process-global, so a second one could see this one's counters.
 #[test]
-fn a_silent_observer_runs_exactly_like_run() {
+fn run_is_a_silent_observer_plus_its_publish() {
     for program in [call_program, faulting_program] {
         let plain = published(program(), |cpu| cpu.run(10_000));
-        let observed = published(program(), |cpu| cpu.run_observed(10_000, |_, _| {}));
-        assert_eq!(plain, observed);
-        assert!(plain.1.contains_key("cpu_insns_total"), "{:?}", plain.1);
+        let silent = published(program(), |cpu| cpu.run_observed(10_000, |_, _| {}));
+        assert_eq!(plain.0, silent.0);
+        // The PA unit counts its own work; the CPU's counters stay unpublished.
+        assert!(
+            silent.1.keys().all(|name| !name.starts_with("cpu_")),
+            "the raw loop publishes: {:?}",
+            silent.1
+        );
+        // `run` = the raw loop + an explicit publish + its fault counter.
+        let (result, mut counters) = published(program(), |cpu| {
+            let result = cpu.run_observed(10_000, |_, _| {});
+            cpu.publish_telemetry();
+            result
+        });
+        assert_eq!(result, plain.0);
+        assert!(counters.contains_key("cpu_insns_total"), "{counters:?}");
+        if result.is_err() {
+            counters.insert("cpu_faults_total{kind=\"access\"}".into(), 1);
+        }
+        assert_eq!(plain.1, counters);
     }
     let faulted = published(faulting_program(), |cpu| cpu.run(10_000));
     assert_eq!(

@@ -158,13 +158,9 @@ pub fn table2(figure5_rows: &[Figure5Row]) -> Vec<Table2Row> {
                 let overheads: Vec<f64> = figure5_rows
                     .iter()
                     .filter(|r| r.suite == suite && r.name != "perlbench")
-                    .map(|r| {
-                        r.overheads
-                            .iter()
-                            .find(|(s, _)| *s == scheme)
-                            .expect("scheme measured")
-                            .1
-                    })
+                    .flat_map(|r| &r.overheads)
+                    .filter(|&&(s, _)| s == scheme)
+                    .map(|&(_, overhead)| overhead)
                     .collect();
                 geometric_mean_percent(&overheads)
             };
@@ -232,6 +228,7 @@ pub fn table3(runs: usize, seed: u64) -> Vec<Table3Row> {
         .into_iter()
         .zip(WORKERS)
         .map(|(cells, workers)| {
+            #[allow(clippy::expect_used, reason = "`ssl_tps` gives one result per scheme")]
             let [baseline, nomask, pacstack]: [TpsResult; 3] =
                 cells.try_into().expect("one result per scheme");
             Table3Row {
@@ -270,6 +267,7 @@ pub fn birthday(widths: &[u32], runs: u64, seed: u64) -> Vec<BirthdayRow> {
         .iter()
         .map(|&b| {
             let budget = 64 * (1u64 << (b / 2 + 2));
+            #[allow(clippy::expect_used, reason = "budget: 2⁸ × the birthday bound")]
             let campaigns = exec::run_trials(seed ^ u64::from(b), runs, |i, _rng| {
                 collision::harvest_until_collision(b, Masking::Unmasked, seed + i, budget)
                     .expect("collision within budget")
@@ -403,6 +401,7 @@ pub fn ablations() -> Vec<AblationRow> {
     use pacstack_compiler::{lower_with_options, LowerOptions};
     use pacstack_workloads::spec::c_benchmark;
 
+    #[allow(clippy::expect_used, reason = "`C_BENCHMARKS` has `perlbench`")]
     let module = c_benchmark("perlbench")
         .expect("profile exists")
         .module(Suite::Rate);
@@ -423,6 +422,7 @@ pub fn ablations() -> Vec<AblationRow> {
     ];
     let swept = exec::parallel_map(&configs, |_, &(scheme, leaves)| cycles(scheme, leaves));
     exec::stats::record("ablations", swept.stats);
+    #[allow(clippy::expect_used, reason = "`parallel_map`: one result per config")]
     let [shipped, nomask, leaves_on]: [u64; 3] =
         swept.results.try_into().expect("three ablation configs");
     vec![
@@ -558,6 +558,7 @@ pub struct MixRow {
 /// scheme — the "in terms of added instructions" comparison of §7.1.
 pub fn instruction_mix() -> Vec<MixRow> {
     use pacstack_workloads::spec::c_benchmark;
+    #[allow(clippy::expect_used, reason = "the constant `C_BENCHMARKS` has `gcc`")]
     let module = c_benchmark("gcc")
         .expect("profile exists")
         .module(Suite::Rate);
@@ -766,6 +767,8 @@ pub fn faults(trials_per_class: u64, seed: u64) -> Result<FaultsReport, ChaosErr
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
 
     #[test]

@@ -2,7 +2,7 @@
 //! compared with the previous committed bench file.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr13.json`). Every
+//! and written as machine-readable JSON (default `BENCH_pr14.json`). Every
 //! row's *before* is that row's *after* in one file: the highest-numbered
 //! `BENCH_pr<N>.json` of the working directory other than the `--out`
 //! file. A row that file lacks has no *before*. The committed files thus
@@ -25,8 +25,8 @@
 //!   loop's rate without and with the PA instructions.
 //! * **`chaos_trials`** — fault-injection trials per second with the empty
 //!   plan on one target prepared by [`engine::prepare`] (PACStack, the
-//!   chaos module): the per-trial copy of the base CPU plus one
-//!   single-stepped clean run.
+//!   chaos module): the per-trial copy of the base CPU plus one clean
+//!   run through [`Cpu::run_observed`].
 //! * **`repro_all_wall_jobs1`**, **`repro_all_wall_jobsauto`** — end-to-end
 //!   wall time of `repro all`, re-executed as a child process with the
 //!   telemetry sink off. The two runs' stdout is byte-compared.
@@ -174,18 +174,18 @@ fn pac_loop_program(iterations: u64) -> Program {
 }
 
 /// Retired PAC instructions per second on the CPU model, memo on.
-fn bench_pac_insns() -> PerfRecord {
+fn bench_pac_insns() -> Result<PerfRecord, String> {
     let iterations: u64 = 200_000;
     let mut cpu = Cpu::with_seed(pac_loop_program(iterations), 3);
     let start = Instant::now();
     let outcome = cpu
         .run(iterations * 8 + 64)
-        .expect("pac loop must retire cleanly");
+        .map_err(|fault| format!("pac_insns loop faulted: {fault}"))?;
     // 5 insns per pass + entry/exit glue; pinned by the unit test below.
     assert_eq!(outcome.instructions, iterations * 5 + 5);
     // paciasp + autiasp + pacga per pass
     let after = (iterations * 3) as f64 / start.elapsed().as_secs_f64();
-    PerfRecord::new("pac_insns", after, "ops_per_s", 1)
+    Ok(PerfRecord::new("pac_insns", after, "ops_per_s", 1))
 }
 
 /// An ALU/memory loop with no PA instruction: the straight-line work the
@@ -213,33 +213,36 @@ fn alu_loop_program(iterations: u64) -> Program {
 
 /// Retired instructions per second over clean runs of `program`, each on a
 /// clone of one CPU built up front. Only [`Cpu::run`] is timed.
-fn retire_rate(bench: &str, program: Program) -> PerfRecord {
+fn retire_rate(bench: &str, program: Program) -> Result<PerfRecord, String> {
     let base = Cpu::with_seed(program, 3);
     let run = || {
         let mut cpu = base.clone();
         let start = Instant::now();
-        let outcome = cpu.run(u64::MAX).expect("retire program runs clean");
-        (outcome.instructions, start.elapsed())
+        let outcome = cpu
+            .run(u64::MAX)
+            .map_err(|fault| format!("{bench} program faulted: {fault}"))?;
+        Ok::<_, String>((outcome.instructions, start.elapsed()))
     };
-    run(); // warm-up, unmeasured
+    run()?; // warm-up, unmeasured
     let (mut insns, mut busy) = (0, Duration::ZERO);
     while busy.as_millis() < TARGET_MS {
-        let (n, elapsed) = run();
+        let (n, elapsed) = run()?;
         insns += n;
         busy += elapsed;
     }
-    PerfRecord::new(bench, insns as f64 / busy.as_secs_f64(), "ops_per_s", 1)
+    let rate = insns as f64 / busy.as_secs_f64();
+    Ok(PerfRecord::new(bench, rate, "ops_per_s", 1))
 }
 
 /// Clean-plan trials per second on the prepared PACStack chaos target.
-fn bench_chaos_trials() -> PerfRecord {
+fn bench_chaos_trials() -> Result<PerfRecord, String> {
     let prepared = engine::prepare(TARGETS[1], &chaos_module(), 0xFEED)
-        .expect("the chaos module prepares under PACStack");
+        .map_err(|e| format!("chaos_trials target: {e}"))?;
     let plan = InjectionPlan::default();
     let after = measure_rate(64, TARGET_MS, |_| {
         u64::from(prepared.run_plan(&plan) == TrialOutcome::Masked)
     });
-    PerfRecord::new("chaos_trials", after, "ops_per_s", 1)
+    Ok(PerfRecord::new("chaos_trials", after, "ops_per_s", 1))
 }
 
 /// Runs `repro <target>` as a child process and returns its stdout and
@@ -383,16 +386,16 @@ const EXPERIMENTS: [&str; 4] = ["table1", "figure5", "table3", "faults"];
 /// than [`CROSS_RUN_NOISE`].
 pub fn run(out: &Path) -> Result<(), String> {
     let perlbench = c_benchmark("perlbench")
-        .expect("perlbench profile exists")
+        .ok_or("no perlbench profile")?
         .module(Suite::Rate);
     let mut records = vec![
         bench_qarma(),
         bench_pac_compute(),
         bench_pakeys_first_pac(),
-        bench_pac_insns(),
-        retire_rate("retire_alu", alu_loop_program(100_000)),
-        retire_rate("retire_pac", lower(&perlbench, Scheme::PacStack)),
-        bench_chaos_trials(),
+        bench_pac_insns()?,
+        retire_rate("retire_alu", alu_loop_program(100_000))?,
+        retire_rate("retire_pac", lower(&perlbench, Scheme::PacStack))?,
+        bench_chaos_trials()?,
     ];
     let (off_out, off) = bench_e2e("all", 1, false)?;
     records.push(off);
@@ -455,6 +458,8 @@ pub fn run(out: &Path) -> Result<(), String> {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
 
     /// A row that already carries a `before`.

@@ -1,5 +1,5 @@
-//! The injection engine: prepared targets, single-stepped runs, classified
-//! outcomes.
+//! The injection engine: prepared targets, runs segmented at each
+//! injection's retire index, classified outcomes.
 
 use crate::plan::{FaultKind, InjectionPlan};
 use pacstack_aarch64::kernel::{SignalDelivery, SIGRETURN_SYSCALL};
@@ -173,32 +173,24 @@ pub fn prepare(target: Target, module: &Module, seed: u64) -> Result<PreparedTar
     let mut cpu = base.clone();
     let mut windows = Vec::new();
     const REFERENCE_CEILING: u64 = 4_000_000;
-    let reference = loop {
-        if cpu.instructions() >= REFERENCE_CEILING {
-            return Err(ChaosError::Reference(Fault::Timeout));
+    let clean = cpu.run_observed(REFERENCE_CEILING, |cpu, insn| {
+        if is_window(insn) {
+            windows.push(cpu.instructions() - 1);
         }
-        if let Some(insn) = cpu.instruction_at(cpu.pc()) {
-            if is_window(insn) {
-                windows.push(cpu.instructions());
-            }
+    });
+    let reference = match clean.map(|out| out.status) {
+        Ok(RunStatus::Exited(exit_code)) => Reference {
+            exit_code,
+            output: cpu.output().to_vec(),
+            instructions: cpu.instructions(),
+            windows,
+        },
+        // The clean program must not raise syscalls the engine would have
+        // to interpret; that would make classification ambiguous.
+        Ok(RunStatus::Syscall(_)) => {
+            return Err(ChaosError::Reference(Fault::SigreturnViolation));
         }
-        match cpu.step() {
-            Ok(None) => {}
-            Ok(Some(RunStatus::Exited(exit_code))) => {
-                break Reference {
-                    exit_code,
-                    output: cpu.output().to_vec(),
-                    instructions: cpu.instructions(),
-                    windows,
-                };
-            }
-            // The clean program must not raise syscalls the engine would
-            // have to interpret; that would make classification ambiguous.
-            Ok(Some(RunStatus::Syscall(_))) => {
-                return Err(ChaosError::Reference(Fault::SigreturnViolation));
-            }
-            Err(fault) => return Err(ChaosError::Reference(fault)),
-        }
+        Err(fault) => return Err(ChaosError::Reference(fault)),
     };
 
     // Budget: generous multiple of the clean run, so only genuine
@@ -323,9 +315,13 @@ impl PreparedTarget {
                 return TrialOutcome::Hang;
             }
 
-            match cpu.step() {
-                Ok(None) => {}
-                Ok(Some(RunStatus::Exited(code))) => {
+            // Run to the next injection's retire index (or the budget); a
+            // `Timeout` there is only the pause before it.
+            let stop = pending.first().map_or(self.budget, |next| next.at);
+            let segment = cpu.run_observed(stop.min(self.budget) - cpu.instructions(), |_, _| {});
+            match segment.map(|out| out.status) {
+                Err(Fault::Timeout) => {}
+                Ok(RunStatus::Exited(code)) => {
                     let reference = &self.reference;
                     return if code == reference.exit_code && cpu.output() == reference.output {
                         TrialOutcome::Masked
@@ -333,14 +329,14 @@ impl PreparedTarget {
                         TrialOutcome::SilentCorruption
                     };
                 }
-                Ok(Some(RunStatus::Syscall(SIGRETURN_SYSCALL))) => {
+                Ok(RunStatus::Syscall(SIGRETURN_SYSCALL)) => {
                     if let Err(fault) = signals.sigreturn(cpu) {
                         return TrialOutcome::DetectedCrash(fault);
                     }
                 }
                 // No other syscall exists in the lowered image; control
                 // flow wild enough to reach one is corruption.
-                Ok(Some(RunStatus::Syscall(_))) => return TrialOutcome::SilentCorruption,
+                Ok(RunStatus::Syscall(_)) => return TrialOutcome::SilentCorruption,
                 Err(fault) => return TrialOutcome::DetectedCrash(fault),
             }
         }
@@ -504,6 +500,117 @@ mod tests {
             },
         );
         assert!(matches!(p.run_plan(&plan), TrialOutcome::DetectedCrash(_)));
+    }
+
+    /// Oracle trial loop that retires one instruction per step: fire the due
+    /// injections, check the budget, retire exactly one instruction.
+    fn single_step_trial(p: &PreparedTarget, cpu: &mut Cpu, plan: &InjectionPlan) -> TrialOutcome {
+        let mut signals = SignalDelivery::new();
+        let mut pending = plan.injections.as_slice();
+        loop {
+            while let Some(injection) = pending.first() {
+                if injection.at > cpu.instructions() {
+                    break;
+                }
+                pending = &pending[1..];
+                if let Err(fault) = apply(cpu, &mut signals, p.handler, injection.kind) {
+                    return TrialOutcome::DetectedCrash(fault);
+                }
+            }
+            if cpu.instructions() >= p.budget {
+                return TrialOutcome::Hang;
+            }
+            match cpu.run_observed(1, |_, _| {}).map(|out| out.status) {
+                Err(Fault::Timeout) => {}
+                Ok(RunStatus::Exited(code)) => {
+                    let reference = &p.reference;
+                    return if code == reference.exit_code && cpu.output() == reference.output {
+                        TrialOutcome::Masked
+                    } else {
+                        TrialOutcome::SilentCorruption
+                    };
+                }
+                Ok(RunStatus::Syscall(SIGRETURN_SYSCALL)) => {
+                    if let Err(fault) = signals.sigreturn(cpu) {
+                        return TrialOutcome::DetectedCrash(fault);
+                    }
+                }
+                Ok(RunStatus::Syscall(_)) => return TrialOutcome::SilentCorruption,
+                Err(fault) => return TrialOutcome::DetectedCrash(fault),
+            }
+        }
+    }
+
+    /// Oracle reference windows: peek at each upcoming instruction with
+    /// `instruction_at`, then retire it alone.
+    fn single_step_windows(p: &PreparedTarget) -> Vec<u64> {
+        let mut cpu = p.base.clone();
+        let mut windows = Vec::new();
+        loop {
+            if cpu.instruction_at(cpu.pc()).is_some_and(is_window) {
+                windows.push(cpu.instructions());
+            }
+            match cpu.run_observed(1, |_, _| {}) {
+                Err(Fault::Timeout) => {}
+                Ok(_) => break,
+                Err(fault) => panic!("clean run faulted: {fault}"),
+            }
+        }
+        assert_eq!(cpu.instructions(), p.reference.instructions);
+        windows
+    }
+
+    #[test]
+    fn segmented_trials_match_the_single_step_oracle() {
+        use crate::plan::{generate_kind, generate_trigger, FaultClass, Injection};
+        use pacstack_exec::TrialRng;
+        use rand::Rng;
+
+        for (t_idx, target) in TARGETS.into_iter().enumerate() {
+            let p = prepare(target, &chaos_module(), 0xFEED).unwrap();
+            assert_eq!(
+                single_step_windows(&p),
+                p.reference.windows,
+                "{}",
+                target.label
+            );
+            // Triggers run a little past the clean exit, so some never fire.
+            let horizon = p.reference.instructions + 16;
+            let mut rng = TrialRng::new(0x0AC1E, t_idx as u64);
+            let mut seen = [false; FaultClass::ALL.len()];
+            for i in 0..256 {
+                // One to three injections; the first cycles through every
+                // class, the others are drawn at random.
+                let count = 1 + i % 3;
+                let mut injections: Vec<Injection> = (0..count)
+                    .map(|k| {
+                        let class = if k == 0 {
+                            i % FaultClass::ALL.len()
+                        } else {
+                            rng.gen_range(0..FaultClass::ALL.len() as u32) as usize
+                        };
+                        seen[class] = true;
+                        Injection {
+                            at: generate_trigger(&mut rng, &p.reference.windows, horizon),
+                            kind: generate_kind(FaultClass::ALL[class], &mut rng),
+                        }
+                    })
+                    .collect();
+                injections.sort_by_key(|injection| injection.at);
+                let plan = InjectionPlan { injections };
+
+                let mut oracle = p.base.clone();
+                let expected = single_step_trial(&p, &mut oracle, &plan);
+                let mut segmented = p.base.clone();
+                let outcome = p.trial_loop(&mut segmented, &plan);
+                let context = format!("{} plan {i}: {plan:?}", target.label);
+                assert_eq!(outcome, expected, "{context}");
+                assert_eq!(p.run_plan(&plan), expected, "{context}");
+                assert_eq!(segmented.cycles(), oracle.cycles(), "{context}");
+                assert_eq!(segmented.instructions(), oracle.instructions(), "{context}");
+            }
+            assert!(seen.iter().all(|&s| s), "{}", target.label);
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! "crash on corruption" from an assumption into a coverage result.
 //!
 //! The engine interposes on the simulated CPU at instruction-retire
-//! granularity ([`pacstack_aarch64::Cpu::step`]) and injects architectural
-//! faults from a seeded [`plan::InjectionPlan`]:
+//! granularity ([`pacstack_aarch64::Cpu::run_observed`] segments) and injects
+//! architectural faults from a seeded [`plan::InjectionPlan`]:
 //!
 //! * single/multi-bit flips in the chain register (CR/X28), the link
 //!   register (LR/X30) and SP;

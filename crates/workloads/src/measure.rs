@@ -86,9 +86,9 @@ fn cpu_for(module: &Module, scheme: Scheme) -> Cpu {
 }
 
 /// Runs `cpu`, holding a program lowered under `scheme`, to its exit with
-/// `observe` as the [`Cpu::run_observed`] observer, and measures it: the
-/// run-and-check body of [`run_module`], [`run_module_profiled`] and every
-/// experiment that reads more of the CPU than a [`Measurement`].
+/// `observe` as the [`Cpu::run_observed`] observer, publishes its telemetry
+/// and measures it: the body of [`run_module`], [`run_module_profiled`] and
+/// every experiment that reads more of the CPU than a [`Measurement`].
 ///
 /// # Panics
 ///
@@ -100,7 +100,9 @@ pub fn run_to_exit(
     budget: u64,
     observe: impl FnMut(&Cpu, Instruction),
 ) -> Measurement {
-    match cpu.run_observed(budget, observe) {
+    let result = cpu.run_observed(budget, observe);
+    cpu.publish_telemetry();
+    match result {
         Ok(out) => match out.status {
             RunStatus::Exited(code) => Measurement {
                 cycles: out.cycles,

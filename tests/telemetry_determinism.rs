@@ -15,6 +15,7 @@
 //! The telemetry store is process-global, so every test that enables the
 //! sink or changes the job count serialises on one lock.
 
+use pacstack::aarch64::kernel::Scheduler;
 use pacstack::aarch64::{Cpu, Instruction, Profiler, Reg};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::telemetry;
@@ -117,19 +118,15 @@ fn shadow_access_counter_equals_scs_pushes_plus_pops() {
     m.push(FuncDef::new("g", vec![Stmt::Compute(1), Stmt::Return]));
     let program = lower(&m, Scheme::ShadowCallStack);
 
-    // Count the lowering's push and pop idioms by single-stepping.
+    // Count the lowering's push and pop idioms as they retire.
     let (mut pushes, mut pops) = (0u64, 0u64);
     let mut cpu = Cpu::with_seed(program.clone(), 7);
-    loop {
-        match cpu.instruction_at(cpu.pc()) {
-            Some(Instruction::StrPost(Reg::X30, Reg::SCS, 8)) => pushes += 1,
-            Some(Instruction::LdrPre(Reg::X30, Reg::SCS, -8)) => pops += 1,
-            _ => {}
-        }
-        if cpu.step().expect("clean run").is_some() {
-            break;
-        }
-    }
+    cpu.run_observed(100_000, |_, insn| match insn {
+        Instruction::StrPost(Reg::X30, Reg::SCS, 8) => pushes += 1,
+        Instruction::LdrPre(Reg::X30, Reg::SCS, -8) => pops += 1,
+        _ => {}
+    })
+    .expect("clean run");
     assert_eq!(pushes, pops);
     assert!(pushes >= 5, "main and f push LR: {pushes}");
     assert_eq!(cpu.shadow_accesses(), pushes + pops);
@@ -145,6 +142,35 @@ fn shadow_access_counter_equals_scs_pushes_plus_pops() {
         published.1.get("cpu_shadow_accesses_total"),
         Some(&(pushes + pops))
     );
+}
+
+#[test]
+fn scheduler_preemption_is_not_a_fault() {
+    let mut m = Module::new();
+    m.push(FuncDef::new("main", vec![Stmt::Compute(1), Stmt::Return]));
+    m.push(FuncDef::new(
+        "worker",
+        vec![
+            Stmt::Loop(12, vec![Stmt::Call("unit".into()), Stmt::MemAccess(1)]),
+            Stmt::Return,
+        ],
+    ));
+    m.push(FuncDef::new("unit", vec![Stmt::Compute(3), Stmt::Return]));
+    let (instructions, counters) = with_clean_telemetry(1, || {
+        telemetry::enable();
+        let mut cpu = Cpu::with_seed(lower(&m, Scheme::PacStack), 7);
+        let mut sched = Scheduler::adopt_main(&cpu);
+        sched.spawn(&mut cpu, "worker", 0x1111).expect("spawn");
+        sched.spawn(&mut cpu, "worker", 0x2222).expect("spawn");
+        sched.run_all(&mut cpu, 7, 100_000).expect("clean run");
+        (cpu.instructions(), telemetry::snapshot().counters)
+    });
+    assert!(instructions > 7 * 20, "dozens of quanta: {instructions}");
+    assert!(
+        !counters.contains_key("cpu_faults_total{kind=\"timeout\"}"),
+        "{counters:?}"
+    );
+    assert_eq!(counters.get("cpu_insns_total"), Some(&instructions));
 }
 
 proptest! {
