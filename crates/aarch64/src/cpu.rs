@@ -3,7 +3,7 @@
 use crate::memory::LAYOUT;
 use crate::program::LinkError;
 use crate::regs::RegisterFile;
-use crate::{Cond, Fault, InsnClass, Instruction, Memory, Program, Reg};
+use crate::{Cond, Fault, InsnClass, Instruction, Memory, Program, Reg, Retire};
 use pacstack_pauth::{AuthFailure, PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack_telemetry as telemetry;
 use std::collections::HashMap;
@@ -161,6 +161,16 @@ fn pac_key_tag(key: PaKey) -> u8 {
     }
 }
 
+/// One instruction of the linked image, decoded once at link: the
+/// instruction, its [`Instruction::classify`] charge, and whether an
+/// indirect branch may land on it under BTI (a function entry or a `bti`).
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    insn: Instruction,
+    retire: Retire,
+    landing: bool,
+}
+
 /// The simulated CPU: register file, PC, flags, memory, PA unit and cycle
 /// accounting.
 ///
@@ -192,9 +202,8 @@ pub struct Cpu {
     pc: u64,
     flags: Flags,
     mem: Memory,
-    /// The linked program, which never changes: clones share it.
-    image: Arc<[Instruction]>,
-    code_base: u64,
+    /// The linked program, decoded, which never changes: clones share it.
+    image: Arc<[Slot]>,
     pub(crate) symbols: Arc<HashMap<String, u64>>,
     pa: PointerAuth,
     keys: PaKeys,
@@ -292,6 +301,21 @@ impl Cpu {
         pa: PointerAuth,
     ) -> Result<Self, LinkError> {
         let image = program.assemble(LAYOUT.code_base)?;
+        let mut slots: Vec<Slot> = image
+            .instructions
+            .iter()
+            .map(|&insn| Slot {
+                insn,
+                retire: insn.classify(),
+                landing: insn == Instruction::Bti,
+            })
+            .collect();
+        for &entry in image.symbols.values() {
+            let index = entry.wrapping_sub(LAYOUT.code_base) / 4;
+            if let Some(slot) = slots.get_mut(index as usize) {
+                slot.landing = true;
+            }
+        }
         let mut regs = RegisterFile::new();
         regs.write(Reg::Sp, LAYOUT.stack_top - 16);
         regs.write(Reg::SCS, LAYOUT.shadow_stack_base);
@@ -300,8 +324,7 @@ impl Cpu {
             pc: image.entry,
             flags: Flags::default(),
             mem: Memory::with_standard_layout(),
-            image: image.instructions.into(),
-            code_base: LAYOUT.code_base,
+            image: slots.into(),
             symbols: Arc::new(image.symbols),
             pa,
             keys,
@@ -333,16 +356,19 @@ impl Cpu {
         self.bti = true;
     }
 
+    /// A function entry lands only at its own address; a `bti` pad, like
+    /// any fetch, from any PC inside its slot.
     fn check_branch_target(&self, target: u64) -> Result<(), Fault> {
         if !self.bti {
             return Ok(());
         }
-        let is_entry = self.symbols.values().any(|&addr| addr == target);
-        let is_pad = matches!(self.instruction_at(target), Some(Instruction::Bti));
-        if is_entry || is_pad {
-            Ok(())
-        } else {
-            Err(Fault::FetchFault { pc: target })
+        match self.decoded(target) {
+            Ok(slot)
+                if slot.landing && (target.is_multiple_of(4) || slot.insn == Instruction::Bti) =>
+            {
+                Ok(())
+            }
+            _ => Err(Fault::FetchFault { pc: target }),
         }
     }
 
@@ -459,11 +485,7 @@ impl Cpu {
     /// The instruction at a code address, if the address is mapped
     /// executable — the disassembler's entry point.
     pub fn instruction_at(&self, pc: u64) -> Option<Instruction> {
-        if self.mem.check_execute(pc).is_err() {
-            return None;
-        }
-        let idx = (pc - self.code_base) / 4;
-        self.image.get(idx as usize).copied()
+        self.decoded(pc).ok().map(|slot| slot.insn)
     }
 
     /// Memory accesses made through the shadow-stack pointer so far.
@@ -471,13 +493,26 @@ impl Cpu {
         self.shadow_accesses
     }
 
-    fn fetch(&self) -> Result<Instruction, Fault> {
-        self.mem.check_execute(self.pc)?;
-        let idx = (self.pc - self.code_base) / 4;
+    /// The decoded slot at `pc` after the full fetch check, so a fault
+    /// keeps its kind and address: [`Memory::check_execute`], then the
+    /// image bounds.
+    fn decoded(&self, pc: u64) -> Result<Slot, Fault> {
+        self.mem.check_execute(pc)?;
+        let index = pc.wrapping_sub(LAYOUT.code_base) / 4;
         self.image
-            .get(idx as usize)
+            .get(index as usize)
             .copied()
-            .ok_or(Fault::FetchFault { pc: self.pc })
+            .ok_or(Fault::FetchFault { pc })
+    }
+
+    /// How many leading image slots [`Cpu::decoded`] would serve from every
+    /// PC in them, aligned or not: the image as far as the current memory
+    /// maps it executable from `LAYOUT.code_base`.
+    fn fetchable_slots(&self) -> usize {
+        let bytes = self
+            .mem
+            .executable_from(LAYOUT.code_base, self.image.len() as u64 * 4);
+        (bytes / 4) as usize
     }
 
     fn set_flags_from_cmp(&mut self, a: u64, b: u64) {
@@ -596,16 +631,13 @@ impl Cpu {
         }
     }
 
-    /// Fetches the instruction at the PC and charges its
-    /// [`Instruction::classify`] counts, before it executes (or faults).
-    fn retire(&mut self) -> Result<Instruction, Fault> {
-        let insn = self.fetch()?;
-        let retire = insn.classify();
+    /// Charges a fetched instruction's link-time [`Retire`] counts, before
+    /// it executes (or faults).
+    fn retire(&mut self, retire: Retire) {
         self.cycles += retire.cycles;
         self.instructions += 1;
         self.counters.bump(retire.class);
         self.shadow_accesses += u64::from(retire.shadow);
-        Ok(insn)
     }
 
     /// Executes a fetched and charged instruction.
@@ -814,12 +846,18 @@ impl Cpu {
     }
 
     /// The retire loop, and the only way to execute instructions. Per
-    /// instruction it fetches, charges the [`Instruction::classify`] counts,
-    /// calls `observe` and executes; it publishes no telemetry. The observer
-    /// so sees the fetching PC, [`Cpu::cycles`] including the charge, and
-    /// the registers the instruction will read; a faulting one is observed.
-    /// Running out of `budget` is a clean pause: the next call resumes at
-    /// the next instruction, re-validating the PC.
+    /// instruction it fetches, charges the [`Instruction::classify`] counts
+    /// decoded at link, calls `observe` and executes; it publishes no
+    /// telemetry. The observer so sees the fetching PC, [`Cpu::cycles`]
+    /// including the charge, and the registers the instruction will read; a
+    /// faulting one is observed. Running out of `budget` is a clean pause:
+    /// the next call resumes at the next instruction.
+    ///
+    /// Each fetch is one unsigned compare of the PC against the part of
+    /// the image that memory maps executable, computed at entry (nothing
+    /// inside the loop can remap memory). Any other PC, wherever it was
+    /// written from, takes the full [`Memory::check_execute`] path, so a
+    /// fault keeps its kind and address.
     ///
     /// # Errors
     ///
@@ -833,10 +871,17 @@ impl Cpu {
         budget: u64,
         mut observe: impl FnMut(&Cpu, Instruction),
     ) -> Result<Outcome, Fault> {
+        let image = Arc::clone(&self.image);
+        let fetchable = &image[..self.fetchable_slots()];
         for _ in 0..budget {
-            let insn = self.retire()?;
-            observe(self, insn);
-            if let Some(status) = self.execute(insn)? {
+            let index = self.pc.wrapping_sub(LAYOUT.code_base) / 4;
+            let slot = match fetchable.get(index as usize) {
+                Some(&slot) => slot,
+                None => self.decoded(self.pc)?,
+            };
+            self.retire(slot.retire);
+            observe(self, slot.insn);
+            if let Some(status) = self.execute(slot.insn)? {
                 let exit_code = match status {
                     RunStatus::Exited(code) => code,
                     RunStatus::Syscall(_) => 0,
@@ -1196,6 +1241,37 @@ mod tests {
         let (hits, _) = fast.pac_cache_stats();
         assert!(hits > 0, "fast CPU never hit the memo");
         assert_eq!(slow.pac_cache_stats(), (0, 0));
+    }
+
+    #[test]
+    fn bti_lets_br_land_only_on_entries_and_pads() {
+        // `pad` is `mov x0, #1; bti; mov x0, #2; svc #0`: its entry and the
+        // `bti` at +4 are landing pads, +8 and the unaligned +2 are not.
+        let branch_into_pad = |offset: i64| {
+            let mut p = Program::new();
+            p.function_ops(
+                "main",
+                vec![
+                    Op::FnAddr(Reg::X9, "pad".into()),
+                    Op::I(AddImm(Reg::X9, Reg::X9, offset)),
+                    Op::I(Br(Reg::X9)),
+                ],
+            );
+            p.function(
+                "pad",
+                vec![MovImm(Reg::X0, 1), Bti, MovImm(Reg::X0, 2), Svc(0)],
+            );
+            let mut cpu = Cpu::with_seed(p, 7);
+            cpu.enable_bti();
+            let target = cpu.symbol("pad").unwrap().wrapping_add(offset as u64);
+            (cpu.run(100).map(|out| out.exit_code), target)
+        };
+        assert_eq!(branch_into_pad(0).0, Ok(2));
+        assert_eq!(branch_into_pad(4).0, Ok(2));
+        for offset in [8, 2] {
+            let (result, target) = branch_into_pad(offset);
+            assert_eq!(result, Err(Fault::FetchFault { pc: target }));
+        }
     }
 
     #[test]

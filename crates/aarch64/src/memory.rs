@@ -117,6 +117,11 @@ impl Segment {
 /// written reads as zero and takes no space; cloning copies only the
 /// written pages.
 ///
+/// Every access first tries the segment the last write went to, then
+/// searches the rest in order. Segments never overlap, so this memo
+/// changes no result; it is part of the value, so a clone or a replaced
+/// `Memory` carries its own.
+///
 /// # Examples
 ///
 /// ```
@@ -132,6 +137,8 @@ impl Segment {
 pub struct Memory {
     layout: VaLayout,
     segments: Vec<Segment>,
+    /// Index of the segment the last write went to.
+    last: usize,
 }
 
 impl Memory {
@@ -140,6 +147,7 @@ impl Memory {
         Self {
             layout,
             segments: Vec::new(),
+            last: 0,
         }
     }
 
@@ -201,18 +209,27 @@ impl Memory {
         }
     }
 
-    fn segment(&self, addr: u64, len: u64) -> Result<&Segment, Fault> {
-        self.segments
-            .iter()
-            .find(|s| s.contains(addr, len))
-            .ok_or(Fault::AccessFault { addr })
+    /// The index of the segment holding all of `addr..addr + len`: the
+    /// last-hit segment if it does, else the first that does.
+    fn find(&self, addr: u64, len: u64) -> Result<usize, Fault> {
+        match self.segments.get(self.last) {
+            Some(seg) if seg.contains(addr, len) => Ok(self.last),
+            _ => self
+                .segments
+                .iter()
+                .position(|s| s.contains(addr, len))
+                .ok_or(Fault::AccessFault { addr }),
+        }
     }
 
+    fn segment(&self, addr: u64, len: u64) -> Result<&Segment, Fault> {
+        Ok(&self.segments[self.find(addr, len)?])
+    }
+
+    /// As [`Memory::segment`], remembering the segment for later accesses.
     fn segment_mut(&mut self, addr: u64, len: u64) -> Result<&mut Segment, Fault> {
-        self.segments
-            .iter_mut()
-            .find(|s| s.contains(addr, len))
-            .ok_or(Fault::AccessFault { addr })
+        self.last = self.find(addr, len)?;
+        Ok(&mut self.segments[self.last])
     }
 
     /// Reads a little-endian `u64`.
@@ -254,6 +271,23 @@ impl Memory {
         match self.segment(pc, 4) {
             Ok(seg) if seg.perms == Perms::ReadExecute => Ok(()),
             _ => Err(Fault::FetchFault { pc }),
+        }
+    }
+
+    /// How many bytes from `base` on, at most `len`, pass
+    /// [`Memory::check_execute`] at every address: each one canonical and
+    /// followed by four bytes of the same executable segment.
+    pub(crate) fn executable_from(&self, base: u64, len: u64) -> u64 {
+        let seg = match self.segment(base, 4) {
+            Ok(seg) if seg.perms == Perms::ReadExecute => seg,
+            _ => return 0,
+        };
+        let len = len.min(seg.base + seg.len - 3 - base);
+        let canonical = |addr| self.layout.is_canonical(addr);
+        if len > 0 && canonical(base) && canonical(base + len - 1) {
+            len
+        } else {
+            0
         }
     }
 
@@ -344,6 +378,23 @@ mod tests {
             mem.check_execute(bad_pc),
             Err(Fault::TranslationFault { addr: bad_pc })
         );
+    }
+
+    #[test]
+    fn executable_prefix_ends_where_a_fetch_would_fault() {
+        let mut mem = Memory::new(VaLayout::default());
+        mem.map(LAYOUT.code_base, 0x1000, Perms::ReadExecute);
+        mem.map(LAYOUT.data_base, 0x1000, Perms::ReadWrite);
+        // Four bytes of the segment must follow every PC in the prefix.
+        assert_eq!(mem.executable_from(LAYOUT.code_base, 0x2000), 0x1000 - 3);
+        assert_eq!(mem.executable_from(LAYOUT.code_base, 0x10), 0x10);
+        assert_eq!(mem.executable_from(LAYOUT.data_base, 0x10), 0);
+        assert_eq!(mem.executable_from(LAYOUT.code_base - 4, 0x10), 0);
+        // A segment that runs past the canonical range.
+        let top = 1u64 << mem.va_layout().va_size();
+        mem.map(top - 0x1000, 0x2000, Perms::ReadExecute);
+        assert_eq!(mem.executable_from(top - 0x1000, 0x800), 0x800);
+        assert_eq!(mem.executable_from(top - 0x1000, 0x2000), 0);
     }
 
     #[test]

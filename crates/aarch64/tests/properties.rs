@@ -139,6 +139,14 @@ proptest! {
 
 const PAGE: u64 = 4096;
 
+// Chaos shares one prepared `Cpu` across its engine's worker threads, so
+// nothing in it (the memory's last-hit segment included) may use interior
+// mutability.
+const _: fn() = || {
+    fn shared_across_threads<T: Send + Sync>() {}
+    shared_across_threads::<Cpu>();
+};
+
 /// The standard layout as one flat, zero-filled byte array per segment,
 /// checked in the same order as [`Memory`]: canonical address, segment
 /// lookup (the whole access inside one segment), write permission.
@@ -208,7 +216,8 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
 
 /// The address an op touches. Shapes: 0 an aligned slot, 1 an access
 /// crossing a page boundary inside the segment, 2 an access crossing or
-/// starting at the segment's end, 3 any byte offset.
+/// starting at the segment's end, 3 any byte offset, 4 the first slot, 5
+/// the last slot, 6 the slot just below the segment (unmapped).
 fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
     let (base, _, bytes) = &model.segments[region % 4];
     let len = bytes.len() as u64;
@@ -216,12 +225,70 @@ fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
         0 => raw % (len / 8) * 8,
         1 => (1 + raw % (len / PAGE - 1)) * PAGE - 1 - (raw >> 32) % 7,
         2 => len - (raw >> 32) % 8,
+        4 => 0,
+        5 => len - 8,
+        6 => 0u64.wrapping_sub(8),
         _ => raw % len,
     };
     match region {
         4 => raw % (1 << 39),
-        5 => (base + off) | (1 << 54),
-        _ => base + off,
+        5 => base.wrapping_add(off) | (1 << 54),
+        _ => base.wrapping_add(off),
+    }
+}
+
+/// A write that leaves segment `region` as [`Memory`]'s last hit, then
+/// accesses that must not be answered from it: `(kind, region, raw, write,
+/// value)`. Kind 0 alternates between the segment and a neighbour in the
+/// segment list, kind 1 touches a neighbour's first slot, last slot and
+/// end right after each hit, kind 2 faults right after the hit.
+type MemoProbe = (u8, usize, u64, bool, u64);
+
+fn arb_memo_probe() -> impl Strategy<Value = MemoProbe> {
+    (0u8..3, 0usize..4, any::<u64>(), any::<bool>(), any::<u64>())
+}
+
+fn memo_ops(&(kind, region, raw, write, value): &MemoProbe) -> Vec<MemOp> {
+    // The code segment (region 0) is read-only, so a write there faults
+    // after the lookup; the memo then holds the segment that faulted.
+    let hit = (region, 0, raw, true, value);
+    let (next, prev) = ((region + 1) % 4, (region + 3) % 4);
+    match kind {
+        0 => vec![
+            hit,
+            (next, 0, raw >> 7, write, !value),
+            (region, 3, raw >> 11, false, 0),
+            (prev, 3, raw >> 13, write, value),
+            hit,
+            (next, 1, raw, !write, value),
+        ],
+        1 => [next, prev]
+            .into_iter()
+            .flat_map(|n| {
+                [
+                    hit,
+                    (n, 5, raw, write, value),
+                    hit,
+                    (n, 4, raw, !write, value),
+                    hit,
+                    (n, 2, raw, write, value),
+                ]
+            })
+            .collect(),
+        _ => {
+            let fault = match value % 4 {
+                0 => (region, 2, raw, write, value),
+                1 => (region, 6, raw, write, value),
+                2 => (5, 0, raw, write, value),
+                _ => (0, 0, raw, true, value),
+            };
+            vec![
+                hit,
+                fault,
+                (region, 3, raw >> 3, false, 0),
+                (region, 0, raw, write, !value),
+            ]
+        }
     }
 }
 
@@ -260,10 +327,18 @@ fn assert_same(mem: &Memory, model: &FlatMemory, ops: &[MemOp]) -> Result<(), Te
 proptest! {
     #[test]
     fn memory_matches_a_flat_byte_model_and_clones_are_independent(
-        ops in prop::collection::vec(arb_mem_op(), 1..48),
+        random_ops in prop::collection::vec(arb_mem_op(), 1..48),
+        probes in prop::collection::vec(arb_memo_probe(), 0..8),
         split in any::<prop::sample::Index>(),
         clone_ops in prop::collection::vec(arb_mem_op(), 0..24),
     ) {
+        // The memo probes run between the random ops, so each starts from
+        // whatever segment the ops before it left as the last hit.
+        let mut ops = random_ops;
+        for (i, probe) in probes.iter().enumerate() {
+            let at = (probe.2 as usize + i) % (ops.len() + 1);
+            ops.splice(at..at, memo_ops(probe));
+        }
         let mut mem = Memory::with_standard_layout();
         let mut model = FlatMemory::standard();
         let (before, after) = ops.split_at(split.index(ops.len()));

@@ -2,7 +2,7 @@
 //! compared with the previous committed bench file.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr14.json`). Every
+//! and written as machine-readable JSON (default `BENCH_pr15.json`). Every
 //! row's *before* is that row's *after* in one file: the highest-numbered
 //! `BENCH_pr<N>.json` of the working directory other than the `--out`
 //! file. A row that file lacks has no *before*. The committed files thus
