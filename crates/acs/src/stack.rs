@@ -105,12 +105,25 @@ impl AuthenticatedCallStack {
         &mut self.frames
     }
 
-    /// The masking pad `H_K(0, modifier)` embedded in a signed null pointer,
-    /// or zero when masking is off.
-    fn mask_for(&self, modifier: u64) -> u64 {
+    /// The two values one chain link needs under `modifier` (the previous
+    /// link `aret_{i-1}`): the compact MAC `H_K(pointer, modifier)` and the
+    /// masking pad `H_K(0, modifier)` already placed in the PAC field, as
+    /// the signed null pointer `pac(0, modifier)` carries it.
+    ///
+    /// Masked chains compute both MACs in one paired QARMA pass
+    /// ([`PointerAuth::compute_pac_pair`]); unmasked chains run a single
+    /// encrypt and get a zero pad. The MAC ignores `pointer`'s PAC field,
+    /// so a caller may pass a pointer whose field still holds the pad.
+    fn macs(&self, pointer: u64, modifier: u64) -> (u64, u64) {
+        let key = self.config.key();
         match self.config.masking_mode() {
-            Masking::Masked => self.pa.pac(&self.keys, self.config.key(), 0, modifier),
-            Masking::Unmasked => 0,
+            Masking::Masked => {
+                let (mac, pad) = self
+                    .pa
+                    .compute_pac_pair(&self.keys, key, pointer, 0, modifier);
+                (mac, self.pa.layout().insert_pac(0, pad))
+            }
+            Masking::Unmasked => (self.pa.compute_pac(&self.keys, key, pointer, modifier), 0),
         }
     }
 
@@ -120,8 +133,8 @@ impl AuthenticatedCallStack {
     /// Exposed so attack simulations can enumerate legitimately observable
     /// tokens without driving a full call sequence.
     pub fn aret(&self, ret: u64, prev: u64) -> u64 {
-        let signed = self.pa.pac(&self.keys, self.config.key(), ret, prev);
-        signed ^ self.mask_for(prev)
+        let (mac, pad) = self.macs(ret, prev);
+        self.pa.sign_with_pac(mac, ret) ^ pad
     }
 
     /// Function-entry instrumentation (paper Listing 2/3 prologue):
@@ -157,8 +170,13 @@ impl AuthenticatedCallStack {
             telemetry::counter("acs_rets_total", 1);
         }
         let prev = frame.stored_chain;
-        let lr = self.cr ^ self.mask_for(prev);
-        match self.pa.aut(&self.keys, self.config.key(), lr, prev) {
+        // The pad lies only in the PAC field, which the MAC strips, so the
+        // MAC is taken of CR itself and runs beside the pad's, not after it.
+        let (mac, pad) = self.macs(self.cr, prev);
+        match self
+            .pa
+            .verify_with_pac(mac, self.cr ^ pad, self.config.key())
+        {
             Ok(ret) => {
                 self.cr = prev;
                 Ok(ret)
@@ -178,9 +196,10 @@ impl AuthenticatedCallStack {
     /// `setjmp` (paper Listing 4): binds the setjmp return site and stack
     /// pointer to the current chain head.
     pub fn setjmp(&self, ret: u64, sp: u64) -> JmpBuf {
-        let key = self.config.key();
-        let bound =
-            self.pa.pac(&self.keys, key, ret, self.cr) ^ self.pa.pac(&self.keys, key, sp, self.cr);
+        let (ret_mac, sp_mac) =
+            self.pa
+                .compute_pac_pair(&self.keys, self.config.key(), ret, sp, self.cr);
+        let bound = self.pa.sign_with_pac(ret_mac, ret) ^ self.pa.sign_with_pac(sp_mac, sp);
         JmpBuf {
             bound_ret: bound,
             sp,
@@ -284,8 +303,8 @@ impl AuthenticatedCallStack {
         let mut cr = self.cr;
         for (depth, frame) in self.frames.iter().enumerate().rev() {
             let prev = frame.stored_chain;
-            let lr = cr ^ self.mask_for(prev);
-            match self.pa.aut(&self.keys, self.config.key(), lr, prev) {
+            let (mac, pad) = self.macs(cr, prev);
+            match self.pa.verify_with_pac(mac, cr ^ pad, self.config.key()) {
                 Ok(ret) => {
                     rets.push(ret);
                     cr = prev;

@@ -2,7 +2,7 @@
 //! compared with the previous committed bench file.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr15.json`). Every
+//! and written as machine-readable JSON (default `BENCH_pr16.json`). Every
 //! row's *before* is that row's *after* in one file: the highest-numbered
 //! `BENCH_pr<N>.json` of the working directory other than the `--out`
 //! file. A row that file lacks has no *before*. The committed files thus
@@ -16,8 +16,14 @@
 //! * **`pakeys_first_pac`** — what each Table 1 trial pays to start a
 //!   process: [`PaKeys::from_seed`] plus the first IA MAC, which schedules
 //!   the IA cipher.
+//! * **`acs_call_ret`** — chained call+return pairs per second through
+//!   [`AuthenticatedCallStack`] under the default (masked) [`AcsConfig`],
+//!   on a chain four frames deep. Each return authenticates the link its
+//!   call just made, so the row sees the latency of one link's MACs, which
+//!   the independent inputs of `pac_compute` hide. Every return is checked.
 //! * **`pac_insns`** — retired PAC instructions per second on the full CPU
-//!   model running a sign/authenticate loop with the PAC memo cache on.
+//!   model running a sign/authenticate loop with the PAC memo cache on,
+//!   each run on a clone of one prebuilt CPU, like `retire_alu`.
 //! * **`retire_alu`**, **`retire_pac`** — retired instructions per second
 //!   of [`Cpu::run`] alone, each run on a clone of one prebuilt CPU:
 //!   `retire_alu` on an ALU/memory loop with no PA instruction,
@@ -43,6 +49,7 @@
 
 use pacstack_aarch64::program::Op;
 use pacstack_aarch64::{Cpu, Instruction, Program, Reg};
+use pacstack_acs::{AcsConfig, AuthenticatedCallStack};
 use pacstack_chaos::campaign::chaos_module;
 use pacstack_chaos::{engine, InjectionPlan, TrialOutcome, TARGETS};
 use pacstack_compiler::{lower, Scheme};
@@ -152,6 +159,31 @@ fn bench_pakeys_first_pac() -> PerfRecord {
     PerfRecord::new("pakeys_first_pac", after, "ops_per_s", 1)
 }
 
+/// Chained call+return pairs per second on a masked chain four frames
+/// deep; the first return that does not hand back its call's address is an
+/// error.
+fn bench_acs_call_ret() -> Result<PerfRecord, String> {
+    let pa = PointerAuth::new(VaLayout::default());
+    let mut acs = AuthenticatedCallStack::new(pa, PaKeys::from_seed(1), AcsConfig::default());
+    for depth in 0..4u64 {
+        acs.call(0x40_0000 + depth * 0x40);
+    }
+    let mut failed = None;
+    let after = measure_rate(1024, TARGET_MS, |i| {
+        let ret = 0x41_0000 + ((i & 0xFFFF) << 2);
+        acs.call(ret);
+        let got = acs.ret();
+        if got != Ok(ret) && failed.is_none() {
+            failed = Some((ret, got));
+        }
+        ret
+    });
+    if let Some((ret, got)) = failed {
+        return Err(format!("acs_call_ret: return to {ret:#x} gave {got:?}"));
+    }
+    Ok(PerfRecord::new("acs_call_ret", after, "ops_per_s", 1))
+}
+
 /// A program that signs, authenticates and MACs in a counted loop — the
 /// return-address churn of a deep call tree, distilled.
 fn pac_loop_program(iterations: u64) -> Program {
@@ -176,16 +208,17 @@ fn pac_loop_program(iterations: u64) -> Program {
 /// Retired PAC instructions per second on the CPU model, memo on.
 fn bench_pac_insns() -> Result<PerfRecord, String> {
     let iterations: u64 = 200_000;
-    let mut cpu = Cpu::with_seed(pac_loop_program(iterations), 3);
-    let start = Instant::now();
-    let outcome = cpu
-        .run(iterations * 8 + 64)
-        .map_err(|fault| format!("pac_insns loop faulted: {fault}"))?;
-    // 5 insns per pass + entry/exit glue; pinned by the unit test below.
-    assert_eq!(outcome.instructions, iterations * 5 + 5);
-    // paciasp + autiasp + pacga per pass
-    let after = (iterations * 3) as f64 / start.elapsed().as_secs_f64();
-    Ok(PerfRecord::new("pac_insns", after, "ops_per_s", 1))
+    run_rate("pac_insns", pac_loop_program(iterations), |insns| {
+        // 5 insns per pass + entry/exit glue; pinned by the unit test below.
+        if insns != iterations * 5 + 5 {
+            return Err(format!(
+                "pac_insns loop retired {insns} instructions, expected {}",
+                iterations * 5 + 5
+            ));
+        }
+        // paciasp + autiasp + pacga per pass
+        Ok(iterations * 3)
+    })
 }
 
 /// An ALU/memory loop with no PA instruction: the straight-line work the
@@ -211,9 +244,15 @@ fn alu_loop_program(iterations: u64) -> Program {
     p
 }
 
-/// Retired instructions per second over clean runs of `program`, each on a
-/// clone of one CPU built up front. Only [`Cpu::run`] is timed.
-fn retire_rate(bench: &str, program: Program) -> Result<PerfRecord, String> {
+/// Operations per second over clean runs of `program`, each on a clone of
+/// one CPU built up front, sampled until [`TARGET_MS`] of runs. Only
+/// [`Cpu::run`] is timed. `count` turns one run's retired-instruction
+/// count into the operations it stands for, or rejects the run.
+fn run_rate(
+    bench: &str,
+    program: Program,
+    count: impl Fn(u64) -> Result<u64, String>,
+) -> Result<PerfRecord, String> {
     let base = Cpu::with_seed(program, 3);
     let run = || {
         let mut cpu = base.clone();
@@ -221,16 +260,17 @@ fn retire_rate(bench: &str, program: Program) -> Result<PerfRecord, String> {
         let outcome = cpu
             .run(u64::MAX)
             .map_err(|fault| format!("{bench} program faulted: {fault}"))?;
-        Ok::<_, String>((outcome.instructions, start.elapsed()))
+        let elapsed = start.elapsed();
+        Ok::<_, String>((count(outcome.instructions)?, elapsed))
     };
     run()?; // warm-up, unmeasured
-    let (mut insns, mut busy) = (0, Duration::ZERO);
+    let (mut ops, mut busy) = (0, Duration::ZERO);
     while busy.as_millis() < TARGET_MS {
         let (n, elapsed) = run()?;
-        insns += n;
+        ops += n;
         busy += elapsed;
     }
-    let rate = insns as f64 / busy.as_secs_f64();
+    let rate = ops as f64 / busy.as_secs_f64();
     Ok(PerfRecord::new(bench, rate, "ops_per_s", 1))
 }
 
@@ -392,9 +432,11 @@ pub fn run(out: &Path) -> Result<(), String> {
         bench_qarma(),
         bench_pac_compute(),
         bench_pakeys_first_pac(),
+        bench_acs_call_ret()?,
         bench_pac_insns()?,
-        retire_rate("retire_alu", alu_loop_program(100_000))?,
-        retire_rate("retire_pac", lower(&perlbench, Scheme::PacStack))?,
+        // Retired instructions per second: each run counts as its own.
+        run_rate("retire_alu", alu_loop_program(100_000), Ok)?,
+        run_rate("retire_pac", lower(&perlbench, Scheme::PacStack), Ok)?,
         bench_chaos_trials()?,
     ];
     let (off_out, off) = bench_e2e("all", 1, false)?;

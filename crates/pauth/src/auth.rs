@@ -115,9 +115,48 @@ impl PointerAuth {
         if telemetry::enabled() {
             telemetry::counter(pac_compute_counter(key), 1);
         }
-        let canonical = self.layout.canonical(pointer & !self.layout.pac_mask());
-        let mac = keys.cipher(key).encrypt(canonical, modifier);
+        let mac = keys.cipher(key).encrypt(self.strip(pointer), modifier);
         mac & ((1u64 << self.layout.pac_bits()) - 1)
+    }
+
+    /// Computes two MACs under one key and one modifier, `(H_K(a, modifier),
+    /// H_K(b, modifier))`: exactly `(compute_pac(.., a, ..), compute_pac(..,
+    /// b, ..))`, counted as two PAC computes.
+    ///
+    /// Both blocks go through one [`Qarma64::encrypt_pair`] pass, which
+    /// derives the modifier's tweak schedule once and runs the two cipher
+    /// states side by side. The masked authenticated call stack takes its
+    /// MAC `H_K(ret, aret)` and its pad `H_K(0, aret)` this way.
+    ///
+    /// [`Qarma64::encrypt_pair`]: pacstack_qarma::Qarma64::encrypt_pair
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use pacstack_pauth::{PaKey, PaKeys, PointerAuth, VaLayout};
+    ///
+    /// let pa = PointerAuth::new(VaLayout::default());
+    /// let keys = PaKeys::from_seed(0);
+    /// let (mac, pad) = pa.compute_pac_pair(&keys, PaKey::Ia, 0x40_1000, 0, 7);
+    /// assert_eq!(mac, pa.compute_pac(&keys, PaKey::Ia, 0x40_1000, 7));
+    /// assert_eq!(pad, pa.compute_pac(&keys, PaKey::Ia, 0, 7));
+    /// ```
+    pub fn compute_pac_pair(
+        &self,
+        keys: &PaKeys,
+        key: PaKey,
+        a: u64,
+        b: u64,
+        modifier: u64,
+    ) -> (u64, u64) {
+        if telemetry::enabled() {
+            telemetry::counter(pac_compute_counter(key), 2);
+        }
+        let (ca, cb) = keys
+            .cipher(key)
+            .encrypt_pair(self.strip(a), self.strip(b), modifier);
+        let field = (1u64 << self.layout.pac_bits()) - 1;
+        (ca & field, cb & field)
     }
 
     /// `pacia`/`pacib`/... — inserts a PAC into the pointer's high bits.
@@ -386,6 +425,31 @@ mod tests {
         let after = pa.compute_pac(&keys, PaKey::Ia, PTR, 7);
         assert_ne!(before, after);
         assert_eq!(after, reference_pac(&pa, &keys, PaKey::Ia, PTR, 7));
+    }
+
+    #[test]
+    fn pac_pair_equals_two_single_pacs() {
+        let keys = PaKeys::from_seed(5);
+        for layout in [VaLayout::default(), VaLayout::new(48, false)] {
+            let pa = PointerAuth::new(layout);
+            for i in 0..32u64 {
+                // Signed, non-canonical and null pointers: the pair strips
+                // its inputs exactly as `compute_pac` does.
+                let a = pa.pac(&keys, PaKey::Ia, PTR + i * 8, i) ^ (i << 60);
+                let b = if i % 2 == 0 { 0 } else { !a };
+                let modifier = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                for key in [PaKey::Ia, PaKey::Db] {
+                    assert_eq!(
+                        pa.compute_pac_pair(&keys, key, a, b, modifier),
+                        (
+                            pa.compute_pac(&keys, key, a, modifier),
+                            pa.compute_pac(&keys, key, b, modifier)
+                        ),
+                        "{layout} {key} i={i}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

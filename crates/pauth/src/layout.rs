@@ -72,16 +72,32 @@ impl VaLayout {
         }
     }
 
+    /// Width of the PAC field's low run, `[VA_SIZE, 54]`, below the select bit.
+    fn low_bits(&self) -> u32 {
+        SELECT_BIT - self.va_size
+    }
+
+    /// The low run's width as a right-aligned mask.
+    fn low_mask(&self) -> u64 {
+        (1u64 << self.low_bits()) - 1
+    }
+
+    /// The PAC bits above the select bit, `[56, 63]`, right-aligned: all
+    /// eight without tagging, none with it (the tag owns them).
+    fn high_mask(&self) -> u64 {
+        if self.tagged {
+            0
+        } else {
+            0xFF
+        }
+    }
+
     /// Number of bits available for the PAC.
     ///
     /// With tagging: bits 54..VA_SIZE. Without: bits 63..VA_SIZE minus the
     /// reserved select bit 55.
     pub fn pac_bits(&self) -> u32 {
-        if self.tagged {
-            SELECT_BIT - self.va_size
-        } else {
-            64 - self.va_size - 1
-        }
+        self.low_bits() + self.high_mask().count_ones()
     }
 
     /// Bit mask covering the PAC field.
@@ -95,10 +111,7 @@ impl VaLayout {
     /// assert_eq!(VaLayout::default().pac_mask(), 0x007f_ff80_0000_0000);
     /// ```
     pub fn pac_mask(&self) -> u64 {
-        let mut mask =
-            (((1u128 << (self.pac_top() + 1)) - 1) as u64) & !((1u64 << self.va_size) - 1);
-        mask &= !(1u64 << SELECT_BIT);
-        mask
+        (self.low_mask() << self.va_size) | (self.high_mask() << (SELECT_BIT + 1))
     }
 
     /// Mask covering the address bits proper.
@@ -107,29 +120,22 @@ impl VaLayout {
     }
 
     /// Extracts the PAC field as a compact `pac_bits()`-wide integer.
+    ///
+    /// The field is one or two contiguous runs of bits: `[VA_SIZE, 54]`,
+    /// then `[56, 63]` when tagging is off. The compact value holds the low
+    /// run in its low bits and the high run right above it.
     pub fn extract_pac(&self, pointer: u64) -> u64 {
-        let mut pac = 0u64;
-        let mut out_bit = 0;
-        for bit in self.va_size..64 {
-            if self.pac_mask() & (1u64 << bit) != 0 {
-                pac |= ((pointer >> bit) & 1) << out_bit;
-                out_bit += 1;
-            }
-        }
-        pac
+        let low = (pointer >> self.va_size) & self.low_mask();
+        let high = (pointer >> (SELECT_BIT + 1)) & self.high_mask();
+        low | (high << self.low_bits())
     }
 
-    /// Spreads a compact PAC value into the PAC field of a pointer.
+    /// Spreads a compact PAC value into the PAC field of a pointer. Bits of
+    /// `pac` at or above `pac_bits()` are ignored.
     pub fn insert_pac(&self, pointer: u64, pac: u64) -> u64 {
-        let mut result = pointer & !self.pac_mask();
-        let mut in_bit = 0;
-        for bit in self.va_size..64 {
-            if self.pac_mask() & (1u64 << bit) != 0 {
-                result |= ((pac >> in_bit) & 1) << bit;
-                in_bit += 1;
-            }
-        }
-        result
+        let low = (pac & self.low_mask()) << self.va_size;
+        let high = ((pac >> self.low_bits()) & self.high_mask()) << (SELECT_BIT + 1);
+        (pointer & !self.pac_mask()) | low | high
     }
 
     /// The extension bits a canonical pointer must carry: all-zero or all-one

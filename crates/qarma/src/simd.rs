@@ -89,17 +89,24 @@ pub(crate) fn available() -> bool {
 }
 
 /// Runs the shared data path (forward rounds, reflector, backward rounds)
-/// entirely in SIMD registers. Same contract as the SWAR `crypt_packed`.
+/// entirely in SIMD registers, for `N` blocks under one tweak. Same
+/// contract as the SWAR `crypt_packed`.
 ///
 /// # Panics
 ///
 /// Panics if the CPU lacks SSSE3 — callers dispatch on [`available`].
 #[inline]
-pub(crate) fn crypt(block: u64, tweak: u64, ks: &DirSchedule, sigma: Sigma, rounds: usize) -> u64 {
+pub(crate) fn crypt<const N: usize>(
+    blocks: [u64; N],
+    tweak: u64,
+    ks: &DirSchedule,
+    sigma: Sigma,
+    rounds: usize,
+) -> [u64; N] {
     assert!(available(), "SIMD path entered without SSSE3 support");
     // SAFETY: the assertion above guarantees the ssse3 target feature is
     // present at runtime.
-    unsafe { crypt_ssse3(block, tweak, ks, sigma, rounds) }
+    unsafe { crypt_ssse3(blocks, tweak, ks, sigma, rounds) }
 }
 
 #[target_feature(enable = "ssse3")]
@@ -197,8 +204,17 @@ fn sbox_vecs(sigma: Sigma) -> (Spread, Spread) {
     }
 }
 
+/// The cipher core over `N` states, one XMM register each. Every round is
+/// applied to all `N` states before the next round starts, so for `N > 1`
+/// their independent dependency chains interleave in the pipeline.
 #[target_feature(enable = "ssse3")]
-fn crypt_ssse3(block: u64, tweak: u64, ks: &DirSchedule, sigma: Sigma, rounds: usize) -> u64 {
+fn crypt_ssse3<const N: usize>(
+    blocks: [u64; N],
+    tweak: u64,
+    ks: &DirSchedule,
+    sigma: Sigma,
+    rounds: usize,
+) -> [u64; N] {
     let (sb_pair, sb_inv_pair) = sbox_vecs(sigma);
     let sb = load(sb_pair);
     let sb_inv = load(sb_inv_pair);
@@ -213,30 +229,37 @@ fn crypt_ssse3(block: u64, tweak: u64, ks: &DirSchedule, sigma: Sigma, rounds: u
     let xor3 = |a: __m128i, b: Spread, c: __m128i| _mm_xor_si128(_mm_xor_si128(a, load(b)), c);
     let sub = |v: __m128i, table: __m128i| _mm_shuffle_epi8(table, v);
 
-    let mut state = spread(block ^ ks.w_in);
+    let mut state = blocks.map(|block| spread(block ^ ks.w_in));
     // Round 0 is the short round: no ShuffleCells/MixColumns.
-    state = sub(xor3(state, ks.fwd_key_spread[0], ts[0]), sb);
+    for s in &mut state {
+        *s = sub(xor3(*s, ks.fwd_key_spread[0], ts[0]), sb);
+    }
     for (&k, &t) in ks.fwd_key_spread[1..r].iter().zip(&ts[1..r]) {
-        state = sub(mt(xor3(state, k, t)), sb);
+        for s in &mut state {
+            *s = sub(mt(xor3(*s, k, t)), sb);
+        }
     }
 
     let t_mid = ts[r];
-    state = sub(mt(xor3(state, ks.w_out_spread, t_mid)), sb);
-    state = _mm_xor_si128(
-        _mm_shuffle_epi8(
-            mix(_mm_shuffle_epi8(state, load(TAU_IDX))),
-            load(TAU_INV_IDX),
-        ),
-        load(ks.reflect_key_spread),
-    );
-    state = xor3(tinv_m(sub(state, sb_inv)), ks.w_in_spread, t_mid);
+    for s in &mut state {
+        *s = sub(mt(xor3(*s, ks.w_out_spread, t_mid)), sb);
+        *s = _mm_xor_si128(
+            _mm_shuffle_epi8(mix(_mm_shuffle_epi8(*s, load(TAU_IDX))), load(TAU_INV_IDX)),
+            load(ks.reflect_key_spread),
+        );
+        *s = xor3(tinv_m(sub(*s, sb_inv)), ks.w_in_spread, t_mid);
+    }
 
     for i in (1..r).rev() {
-        state = xor3(tinv_m(sub(state, sb_inv)), ks.bwd_key_spread[i], ts[i]);
+        for s in &mut state {
+            *s = xor3(tinv_m(sub(*s, sb_inv)), ks.bwd_key_spread[i], ts[i]);
+        }
     }
-    state = xor3(sub(state, sb_inv), ks.bwd_key_spread[0], ts[0]);
+    for s in &mut state {
+        *s = xor3(sub(*s, sb_inv), ks.bwd_key_spread[0], ts[0]);
+    }
 
-    pack(state) ^ ks.w_out
+    state.map(|s| pack(s) ^ ks.w_out)
 }
 
 #[cfg(test)]
@@ -278,14 +301,39 @@ mod tests {
                 for (i, x) in samples().enumerate() {
                     let tweak = (i as u64).wrapping_mul(0xA076_1D64_78BD_642F);
                     assert_eq!(
-                        crypt(x, tweak, &enc, sigma, rounds),
-                        reference::encrypt(key, sigma, rounds, x, tweak),
+                        crypt([x], tweak, &enc, sigma, rounds),
+                        [reference::encrypt(key, sigma, rounds, x, tweak)],
                         "encrypt diverged for {sigma} r={rounds} x={x:#018x}"
                     );
                     assert_eq!(
-                        crypt(x, tweak, &dec, sigma, rounds),
-                        reference::decrypt(key, sigma, rounds, x, tweak),
+                        crypt([x], tweak, &dec, sigma, rounds),
+                        [reference::decrypt(key, sigma, rounds, x, tweak)],
                         "decrypt diverged for {sigma} r={rounds} x={x:#018x}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn simd_pair_matches_two_reference_encryptions() {
+        if !available() {
+            return;
+        }
+        let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
+        let enc = DirSchedule::encrypt(key);
+        for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
+            for rounds in 1..=8 {
+                for (i, x) in samples().enumerate() {
+                    let tweak = (i as u64).wrapping_mul(0xA076_1D64_78BD_642F);
+                    let y = if i % 4 == 0 { 0 } else { x.rotate_left(23) };
+                    assert_eq!(
+                        crypt([x, y], tweak, &enc, sigma, rounds),
+                        [
+                            reference::encrypt(key, sigma, rounds, x, tweak),
+                            reference::encrypt(key, sigma, rounds, y, tweak),
+                        ],
+                        "pair diverged for {sigma} r={rounds} x={x:#018x} y={y:#018x}"
                     );
                 }
             }

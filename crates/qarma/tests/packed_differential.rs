@@ -33,6 +33,24 @@ proptest! {
     }
 
     #[test]
+    fn encrypt_pair_matches_two_reference_encryptions(
+        w0 in any::<u64>(),
+        k0 in any::<u64>(),
+        tweak in any::<u64>(),
+        a in any::<u64>(),
+        b in any::<u64>(),
+        sigma in arb_sigma(),
+        rounds in 1usize..=8,
+    ) {
+        let cipher = Qarma64::new(w0, k0, sigma, rounds);
+        prop_assert_eq!(
+            cipher.encrypt_pair(a, b, tweak),
+            (cipher.encrypt_reference(a, tweak), cipher.encrypt_reference(b, tweak)),
+            "pair diverged from the oracle ({} r={})", sigma, rounds
+        );
+    }
+
+    #[test]
     fn packed_decrypt_matches_reference(
         w0 in any::<u64>(),
         k0 in any::<u64>(),
