@@ -86,24 +86,6 @@ impl InsnCounters {
     pub fn total(&self) -> u64 {
         self.pointer_auth + self.memory + self.branches + self.other
     }
-
-    fn get(&self, class: InsnClass) -> u64 {
-        match class {
-            InsnClass::PointerAuth => self.pointer_auth,
-            InsnClass::Memory => self.memory,
-            InsnClass::Branch => self.branches,
-            InsnClass::Other => self.other,
-        }
-    }
-
-    fn bump(&mut self, class: InsnClass) {
-        match class {
-            InsnClass::PointerAuth => self.pointer_auth += 1,
-            InsnClass::Memory => self.memory += 1,
-            InsnClass::Branch => self.branches += 1,
-            InsnClass::Other => self.other += 1,
-        }
-    }
 }
 
 /// The result of a completed run.
@@ -223,8 +205,9 @@ pub struct Cpu {
     /// `(hits, misses)` on the PAC memo cache, for the perf harness.
     pac_cache_stats: (u64, u64),
     cycles: u64,
-    instructions: u64,
-    counters: InsnCounters,
+    /// Retired instructions per class, indexed by `InsnClass as usize`;
+    /// their sum is [`Cpu::instructions`].
+    classes: [u64; 4],
     /// Retired shadow-stack accesses, as [`Instruction::classify`] decides
     /// them (always counted, like `pac_cache_stats`).
     shadow_accesses: u64,
@@ -240,8 +223,7 @@ pub struct Cpu {
 #[derive(Debug, Clone, Copy, Default)]
 struct TelemetryMark {
     cycles: u64,
-    instructions: u64,
-    counters: InsnCounters,
+    classes: [u64; 4],
     pac_hits: u64,
     pac_misses: u64,
     shadow_accesses: u64,
@@ -334,8 +316,7 @@ impl Cpu {
             pac_memo: true,
             pac_cache_stats: (0, 0),
             cycles: 0,
-            instructions: 0,
-            counters: InsnCounters::default(),
+            classes: [0; 4],
             shadow_accesses: 0,
             output: Vec::new(),
             tmark: TelemetryMark::default(),
@@ -469,12 +450,18 @@ impl Cpu {
 
     /// Instructions retired so far.
     pub fn instructions(&self) -> u64 {
-        self.instructions
+        self.classes.iter().sum()
     }
 
     /// Retired-instruction counters by class.
     pub fn counters(&self) -> InsnCounters {
-        self.counters
+        let count = |class: InsnClass| self.classes[class as usize];
+        InsnCounters {
+            pointer_auth: count(InsnClass::PointerAuth),
+            memory: count(InsnClass::Memory),
+            branches: count(InsnClass::Branch),
+            other: count(InsnClass::Other),
+        }
     }
 
     /// Values emitted via `svc #1`.
@@ -632,15 +619,19 @@ impl Cpu {
     }
 
     /// Charges a fetched instruction's link-time [`Retire`] counts, before
-    /// it executes (or faults).
+    /// it executes (or faults): three adds, none of them behind a branch.
+    #[inline(always)]
     fn retire(&mut self, retire: Retire) {
         self.cycles += retire.cycles;
-        self.instructions += 1;
-        self.counters.bump(retire.class);
+        self.classes[retire.class as usize] += 1;
         self.shadow_accesses += u64::from(retire.shadow);
     }
 
-    /// Executes a fetched and charged instruction.
+    /// Executes a fetched and charged instruction. Forced inline: its one
+    /// caller, [`Cpu::run_observed`], has an instantiation per observer type,
+    /// and out of line each instruction paid a call and a return of its
+    /// `Result` through memory.
+    #[inline(always)]
     fn execute(&mut self, insn: Instruction) -> Result<Option<RunStatus>, Fault> {
         use Instruction::*;
         let mut next_pc = self.pc.wrapping_add(4);
@@ -890,7 +881,7 @@ impl Cpu {
                     exit_code,
                     status,
                     cycles: self.cycles,
-                    instructions: self.instructions,
+                    instructions: self.instructions(),
                 });
             }
         }
@@ -911,7 +902,10 @@ impl Cpu {
         let (hits, misses) = self.pac_cache_stats;
         let deltas = [
             ("cpu_cycles_total", self.cycles - mark.cycles),
-            ("cpu_insns_total", self.instructions - mark.instructions),
+            (
+                "cpu_insns_total",
+                self.instructions() - mark.classes.iter().sum::<u64>(),
+            ),
             ("cpu_pac_memo_total{result=\"hit\"}", hits - mark.pac_hits),
             (
                 "cpu_pac_memo_total{result=\"miss\"}",
@@ -928,15 +922,14 @@ impl Cpu {
             }
         }
         for class in InsnClass::ALL {
-            let delta = self.counters.get(class) - mark.counters.get(class);
+            let delta = self.classes[class as usize] - mark.classes[class as usize];
             if delta > 0 {
                 telemetry::counter(class_counter(class), delta);
             }
         }
         self.tmark = TelemetryMark {
             cycles: self.cycles,
-            instructions: self.instructions,
-            counters: self.counters,
+            classes: self.classes,
             pac_hits: hits,
             pac_misses: misses,
             shadow_accesses: self.shadow_accesses,

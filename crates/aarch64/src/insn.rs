@@ -159,7 +159,8 @@ pub enum InsnClass {
 }
 
 impl InsnClass {
-    /// Every class, in declaration order.
+    /// Every class, in declaration order: `ALL[class as usize] == class`,
+    /// which is how the CPU indexes its per-class retire counts.
     pub const ALL: [InsnClass; 4] = [
         InsnClass::PointerAuth,
         InsnClass::Memory,
@@ -446,6 +447,13 @@ mod tests {
         }
         let missing: Vec<usize> = (0..seen.len()).filter(|&i| !seen[i]).collect();
         assert!(missing.is_empty(), "variants without a row: {missing:?}");
+    }
+
+    #[test]
+    fn class_discriminants_index_all() {
+        for (i, class) in InsnClass::ALL.into_iter().enumerate() {
+            assert_eq!(class as usize, i, "{class:?}");
+        }
     }
 
     #[test]

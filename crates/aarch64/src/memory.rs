@@ -61,6 +61,13 @@ struct Segment {
     base: u64,
     perms: Perms,
     len: u64,
+    /// The offsets `off < fast_loads` at which [`Memory::read_u64`] may read
+    /// without its checks: every offset at which 8 bytes fit, if the whole
+    /// segment lies in one canonical range, else none (0).
+    fast_loads: u64,
+    /// As `fast_loads`, for [`Memory::write_u64`]: also none unless the
+    /// segment is writable.
+    fast_stores: u64,
     pages: Vec<Option<Box<[u8; PAGE]>>>,
 }
 
@@ -73,35 +80,51 @@ impl Segment {
         self.pages[index].get_or_insert_with(|| Box::new([0; PAGE]))
     }
 
-    /// Reads 8 bytes at segment offset `off`; an access that crosses a page
-    /// boundary goes byte by byte.
+    /// Reads 8 bytes at segment offset `off`: one load inside a page.
+    #[inline]
     fn read_u64(&self, off: usize) -> u64 {
         let at = off % PAGE;
-        let mut buf = [0u8; 8];
-        if at <= PAGE - 8 {
-            if let Some(page) = &self.pages[off / PAGE] {
+        if at > PAGE - 8 {
+            return self.read_u64_straddling(off);
+        }
+        match &self.pages[off / PAGE] {
+            Some(page) => {
+                let mut buf = [0u8; 8];
                 buf.copy_from_slice(&page[at..at + 8]);
+                u64::from_le_bytes(buf)
             }
-        } else {
-            for (i, b) in buf.iter_mut().enumerate() {
-                let o = off + i;
-                *b = self.pages[o / PAGE]
-                    .as_ref()
-                    .map_or(0, |page| page[o % PAGE]);
-            }
+            None => 0,
+        }
+    }
+
+    /// [`Segment::read_u64`] across a page boundary, byte by byte.
+    #[cold]
+    fn read_u64_straddling(&self, off: usize) -> u64 {
+        let mut buf = [0u8; 8];
+        for (i, b) in buf.iter_mut().enumerate() {
+            let o = off + i;
+            *b = self.pages[o / PAGE]
+                .as_ref()
+                .map_or(0, |page| page[o % PAGE]);
         }
         u64::from_le_bytes(buf)
     }
 
     /// Writes 8 bytes at segment offset `off`, allocating the pages touched.
+    #[inline]
     fn write_u64(&mut self, off: usize, value: u64) {
         let at = off % PAGE;
-        if at <= PAGE - 8 {
-            self.page_mut(off / PAGE)[at..at + 8].copy_from_slice(&value.to_le_bytes());
-        } else {
-            for (i, b) in value.to_le_bytes().into_iter().enumerate() {
-                self.page_mut((off + i) / PAGE)[(off + i) % PAGE] = b;
-            }
+        if at > PAGE - 8 {
+            return self.write_u64_straddling(off, value);
+        }
+        self.page_mut(off / PAGE)[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// [`Segment::write_u64`] across a page boundary, byte by byte.
+    #[cold]
+    fn write_u64_straddling(&mut self, off: usize, value: u64) {
+        for (i, b) in value.to_le_bytes().into_iter().enumerate() {
+            self.page_mut((off + i) / PAGE)[(off + i) % PAGE] = b;
         }
     }
 }
@@ -120,7 +143,10 @@ impl Segment {
 /// Every access first tries the segment the last write went to, then
 /// searches the rest in order. Segments never overlap, so this memo
 /// changes no result; it is part of the value, so a clone or a replaced
-/// `Memory` carries its own.
+/// `Memory` carries its own. A load or store that the memo's segment
+/// holds, in a segment that lies wholly in one canonical range (and, for
+/// a store, is writable), skips the canonical and permission checks,
+/// which it would pass; every other access takes the full path.
 ///
 /// # Examples
 ///
@@ -180,10 +206,25 @@ impl Memory {
             !self.overlaps(base, size),
             "segment {base:#x}+{size:#x} overlaps existing mapping"
         );
+        // Canonicality depends only on the bits from VA_SIZE up, so a
+        // segment whose first and last byte are canonical and agree on
+        // those bits lies in one canonical range.
+        let va_size = self.layout.va_size();
+        let canonical = size >= 8
+            && base.checked_add(size - 1).is_some_and(|last| {
+                self.layout.is_canonical(base) && base >> va_size == last >> va_size
+            });
+        let fast_loads = if canonical { size - 7 } else { 0 };
         self.segments.push(Segment {
             base,
             perms,
             len: size,
+            fast_loads,
+            fast_stores: if perms == Perms::ReadWrite {
+                fast_loads
+            } else {
+                0
+            },
             pages: vec![None; (size as usize).div_ceil(PAGE)],
         });
     }
@@ -237,7 +278,20 @@ impl Memory {
     /// # Errors
     ///
     /// Faults on non-canonical or unmapped addresses.
+    #[inline]
     pub fn read_u64(&self, addr: u64) -> Result<u64, Fault> {
+        if let Some(seg) = self.segments.get(self.last) {
+            let off = addr.wrapping_sub(seg.base);
+            if off < seg.fast_loads {
+                return Ok(seg.read_u64(off as usize));
+            }
+        }
+        self.read_u64_checked(addr)
+    }
+
+    /// [`Memory::read_u64`] with every check, in fault order.
+    #[inline(never)]
+    fn read_u64_checked(&self, addr: u64) -> Result<u64, Fault> {
         self.check_canonical(addr)?;
         let seg = self.segment(addr, 8)?;
         Ok(seg.read_u64((addr - seg.base) as usize))
@@ -248,7 +302,21 @@ impl Memory {
     /// # Errors
     ///
     /// Faults on non-canonical, unmapped or non-writable addresses.
+    #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) -> Result<(), Fault> {
+        if let Some(seg) = self.segments.get_mut(self.last) {
+            let off = addr.wrapping_sub(seg.base);
+            if off < seg.fast_stores {
+                seg.write_u64(off as usize, value);
+                return Ok(());
+            }
+        }
+        self.write_u64_checked(addr, value)
+    }
+
+    /// [`Memory::write_u64`] with every check, in fault order.
+    #[inline(never)]
+    fn write_u64_checked(&mut self, addr: u64, value: u64) -> Result<(), Fault> {
         self.check_canonical(addr)?;
         let seg = self.segment_mut(addr, 8)?;
         if seg.perms != Perms::ReadWrite {

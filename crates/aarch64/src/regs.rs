@@ -96,15 +96,10 @@ impl Reg {
         TABLE.get(i).copied()
     }
 
+    /// The register's slot in [`RegisterFile`]: `X0..=X30` are declared
+    /// in order, then `SP` (31) and `XZR` (32).
     fn index(self) -> usize {
-        match self {
-            Reg::Sp => 31,
-            Reg::Xzr => 32,
-            other => {
-                // X0..X30 are declared in order.
-                other as usize
-            }
-        }
+        self as usize
     }
 }
 
@@ -120,10 +115,24 @@ impl fmt::Display for Reg {
     }
 }
 
-/// The register file: `X0`–`X30` plus `SP`; `XZR` is hardwired to zero.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// Slot of `XZR` in [`RegisterFile`].
+const XZR: usize = Reg::Xzr as usize;
+
+/// The register file: `X0`–`X30`, `SP` and `XZR`, one slot each, indexed by
+/// the [`Reg`] discriminant.
+///
+/// A read is one load with no branch on the register. `XZR` reads as zero
+/// because its slot always holds zero: a write stores to whatever slot it
+/// names and then zeroes slot 32 again, so a write to `XZR` is discarded.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RegisterFile {
-    values: [u64; 32],
+    values: [u64; 33],
+}
+
+impl Default for RegisterFile {
+    fn default() -> Self {
+        Self { values: [0; 33] }
+    }
 }
 
 impl RegisterFile {
@@ -133,18 +142,16 @@ impl RegisterFile {
     }
 
     /// Reads a register (`XZR` reads as zero).
+    #[inline]
     pub fn read(&self, reg: Reg) -> u64 {
-        match reg {
-            Reg::Xzr => 0,
-            other => self.values[other.index()],
-        }
+        self.values[reg.index()]
     }
 
     /// Writes a register (writes to `XZR` are discarded).
+    #[inline]
     pub fn write(&mut self, reg: Reg, value: u64) {
-        if reg != Reg::Xzr {
-            self.values[reg.index()] = value;
-        }
+        self.values[reg.index()] = value;
+        self.values[XZR] = 0;
     }
 }
 
@@ -167,6 +174,7 @@ mod tests {
         let mut rf = RegisterFile::new();
         rf.write(Reg::Xzr, 99);
         assert_eq!(rf.read(Reg::Xzr), 0);
+        assert_eq!(rf, RegisterFile::new());
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! the CPU must match a direct Rust evaluation of the same operations, and
 //! paged [`Memory`] must match a flat byte-array model.
 
-use pacstack_aarch64::{Cpu, Fault, Instruction as I, Memory, Program, Reg, LAYOUT};
+use pacstack_aarch64::{Cpu, Fault, Instruction as I, Memory, Perms, Program, Reg, LAYOUT};
+use pacstack_pauth::VaLayout;
 use proptest::prelude::*;
 
 /// One random ALU operation on the accumulator.
@@ -53,6 +54,56 @@ fn eval_op(acc: u64, op: AluOp) -> u64 {
     }
 }
 
+/// X0–X30, SP and XZR: the register file's 33 slots, in slot order.
+fn register_file_order() -> Vec<Reg> {
+    Reg::general_purpose().chain([Reg::Sp, Reg::Xzr]).collect()
+}
+
+/// One ALU or move op `(kind, d, n, m, imm)` whose operands are slots of
+/// [`register_file_order`], so any of them may be SP or XZR.
+type RegOp = (u8, usize, usize, usize, u64);
+
+fn arb_reg_op() -> impl Strategy<Value = RegOp> {
+    (0u8..10, 0usize..33, 0usize..33, 0usize..33, any::<u64>())
+}
+
+fn lower_reg_op(regs: &[Reg], (kind, d, n, m, imm): RegOp) -> I {
+    let (d, n, m) = (regs[d], regs[n], regs[m]);
+    match kind {
+        0 => I::Mov(d, n),
+        1 => I::MovImm(d, imm),
+        2 => I::Add(d, n, m),
+        3 => I::AddImm(d, n, imm as i64),
+        4 => I::Sub(d, n, m),
+        5 => I::Mul(d, n, m),
+        6 => I::Eor(d, n, m),
+        7 => I::EorImm(d, n, imm),
+        8 => I::AndImm(d, n, imm),
+        _ => I::LsrImm(d, n, (imm % 64) as u32),
+    }
+}
+
+/// The model register file: slot 32, XZR, reads as zero and drops writes.
+fn eval_reg_op(model: &mut [u64; 33], (kind, d, n, m, imm): RegOp) {
+    let read = |i: usize| if i == 32 { 0 } else { model[i] };
+    let (vn, vm) = (read(n), read(m));
+    let value = match kind {
+        0 => vn,
+        1 => imm,
+        2 => vn.wrapping_add(vm),
+        3 => vn.wrapping_add(imm),
+        4 => vn.wrapping_sub(vm),
+        5 => vn.wrapping_mul(vm),
+        6 => vn ^ vm,
+        7 => vn ^ imm,
+        8 => vn & imm,
+        _ => vn >> (imm % 64),
+    };
+    if d != 32 {
+        model[d] = value;
+    }
+}
+
 proptest! {
     #[test]
     fn alu_matches_reference_semantics(
@@ -69,6 +120,33 @@ proptest! {
 
         let expected = ops.iter().fold(start, |acc, &op| eval_op(acc, op));
         prop_assert_eq!(outcome.exit_code, expected);
+    }
+
+    #[test]
+    fn every_register_matches_a_model_register_file(
+        init in prop::collection::vec(any::<u64>(), 33),
+        random_ops in prop::collection::vec(arb_reg_op(), 0..64),
+    ) {
+        // Every slot, SP and XZR included, is first set to a random value;
+        // then random ops read and write any of them. `svc #0` exits
+        // without a return, so LR may be clobbered too.
+        let regs = register_file_order();
+        let ops: Vec<RegOp> =
+            init.iter().enumerate().map(|(i, &v)| (1, i, 0, 0, v)).chain(random_ops).collect();
+        let mut insns: Vec<I> = ops.iter().map(|&op| lower_reg_op(&regs, op)).collect();
+        insns.push(I::Svc(0));
+        let mut p = Program::new();
+        p.function("main", insns);
+        let mut cpu = Cpu::with_seed(p, 0);
+        cpu.run(1000).expect("straight-line code runs clean");
+
+        let mut model = [0u64; 33];
+        for &op in &ops {
+            eval_reg_op(&mut model, op);
+        }
+        for (&reg, &want) in regs.iter().zip(&model) {
+            prop_assert_eq!(cpu.reg(reg), want, "{}", reg);
+        }
     }
 
     #[test]
@@ -147,32 +225,59 @@ const _: fn() = || {
     shared_across_threads::<Cpu>();
 };
 
-/// The standard layout as one flat, zero-filled byte array per segment,
-/// checked in the same order as [`Memory`]: canonical address, segment
-/// lookup (the whole access inside one segment), write permission.
+/// Segments [`memories`] maps.
+const SEGMENTS: usize = 6;
+
+/// One flat, zero-filled byte array per segment, checked in the same order
+/// as [`Memory`]: canonical address, segment lookup (the whole access
+/// inside one segment), write permission.
 #[derive(Clone)]
 struct FlatMemory {
     /// `(base, writable, bytes)` per segment.
     segments: Vec<(u64, bool, Vec<u8>)>,
 }
 
-impl FlatMemory {
-    fn standard() -> Self {
-        let segment = |base: u64, size: u64, writable| (base, writable, vec![0; size as usize]);
-        Self {
-            segments: vec![
-                segment(LAYOUT.code_base, LAYOUT.code_size, false),
-                segment(LAYOUT.data_base, LAYOUT.data_size, true),
-                segment(
-                    LAYOUT.stack_top - LAYOUT.stack_size,
-                    LAYOUT.stack_size,
-                    true,
-                ),
-                segment(LAYOUT.shadow_stack_base, LAYOUT.shadow_stack_size, true),
-            ],
-        }
+/// A [`Memory`] under `layout` and its flat model, both mapping the
+/// standard segments plus two that sit on the edges of the canonical
+/// ranges: one in the upper half, and one that runs past the top of the
+/// lower half, so its second page is not canonical. Only the first five
+/// lie wholly in one canonical range.
+fn memories(layout: VaLayout) -> (Memory, FlatMemory) {
+    let top = 1u64 << layout.va_size();
+    let segments: [(u64, u64, Perms); SEGMENTS] = [
+        (LAYOUT.code_base, LAYOUT.code_size, Perms::ReadExecute),
+        (LAYOUT.data_base, LAYOUT.data_size, Perms::ReadWrite),
+        (
+            LAYOUT.stack_top - LAYOUT.stack_size,
+            LAYOUT.stack_size,
+            Perms::ReadWrite,
+        ),
+        (
+            LAYOUT.shadow_stack_base,
+            LAYOUT.shadow_stack_size,
+            Perms::ReadWrite,
+        ),
+        (
+            layout.canonical(1 << 55) + 0x10_0000,
+            2 * PAGE,
+            Perms::ReadWrite,
+        ),
+        (top - PAGE, 2 * PAGE, Perms::ReadWrite),
+    ];
+    let mut mem = Memory::new(layout);
+    for (base, size, perms) in segments {
+        mem.map(base, size, perms);
     }
+    let model = FlatMemory {
+        segments: segments
+            .iter()
+            .map(|&(base, size, perms)| (base, perms == Perms::ReadWrite, vec![0; size as usize]))
+            .collect(),
+    };
+    (mem, model)
+}
 
+impl FlatMemory {
     /// The segment index and offset of an 8-byte access, or its fault.
     fn locate(&self, mem: &Memory, addr: u64) -> Result<(usize, usize), Fault> {
         if !mem.va_layout().is_canonical(addr) {
@@ -205,13 +310,22 @@ impl FlatMemory {
     }
 }
 
-/// One random access: `(region, shape, raw, write, value)`. Regions 0–3
-/// are the standard segments, 4 is anywhere in the 39-bit space (almost
-/// always unmapped), 5 is a segment address with a non-canonical high bit.
+/// One random access: `(region, shape, raw, write, value)`. Region `r`
+/// below `3 * SEGMENTS` is an address in segment `r % SEGMENTS`: as is for
+/// `r / SEGMENTS == 0`, with bit 54 flipped (never canonical) for 1, and
+/// with a nonzero top byte for 2 (canonical only under top-byte ignore,
+/// and then outside every segment). Region `3 * SEGMENTS` is anywhere in
+/// the 39-bit space (almost always unmapped).
 type MemOp = (usize, u8, u64, bool, u64);
 
 fn arb_mem_op() -> impl Strategy<Value = MemOp> {
-    (0usize..6, 0u8..4, any::<u64>(), any::<bool>(), any::<u64>())
+    (
+        0usize..=3 * SEGMENTS,
+        0u8..4,
+        any::<u64>(),
+        any::<bool>(),
+        any::<u64>(),
+    )
 }
 
 /// The address an op touches. Shapes: 0 an aligned slot, 1 an access
@@ -219,7 +333,7 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
 /// starting at the segment's end, 3 any byte offset, 4 the first slot, 5
 /// the last slot, 6 the slot just below the segment (unmapped).
 fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
-    let (base, _, bytes) = &model.segments[region % 4];
+    let (base, _, bytes) = &model.segments[region % SEGMENTS];
     let len = bytes.len() as u64;
     let off = match shape {
         0 => raw % (len / 8) * 8,
@@ -230,10 +344,12 @@ fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
         6 => 0u64.wrapping_sub(8),
         _ => raw % len,
     };
-    match region {
-        4 => raw % (1 << 39),
-        5 => base.wrapping_add(off) | (1 << 54),
-        _ => base.wrapping_add(off),
+    let addr = base.wrapping_add(off);
+    match region / SEGMENTS {
+        0 => addr,
+        1 => addr ^ (1 << 54),
+        2 => addr ^ ((1 + raw % 255) << 56),
+        _ => raw % (1 << 39),
     }
 }
 
@@ -245,14 +361,20 @@ fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
 type MemoProbe = (u8, usize, u64, bool, u64);
 
 fn arb_memo_probe() -> impl Strategy<Value = MemoProbe> {
-    (0u8..3, 0usize..4, any::<u64>(), any::<bool>(), any::<u64>())
+    (
+        0u8..3,
+        0usize..SEGMENTS,
+        any::<u64>(),
+        any::<bool>(),
+        any::<u64>(),
+    )
 }
 
 fn memo_ops(&(kind, region, raw, write, value): &MemoProbe) -> Vec<MemOp> {
     // The code segment (region 0) is read-only, so a write there faults
     // after the lookup; the memo then holds the segment that faulted.
     let hit = (region, 0, raw, true, value);
-    let (next, prev) = ((region + 1) % 4, (region + 3) % 4);
+    let (next, prev) = ((region + 1) % SEGMENTS, (region + SEGMENTS - 1) % SEGMENTS);
     match kind {
         0 => vec![
             hit,
@@ -276,10 +398,11 @@ fn memo_ops(&(kind, region, raw, write, value): &MemoProbe) -> Vec<MemOp> {
             })
             .collect(),
         _ => {
-            let fault = match value % 4 {
+            let fault = match value % 5 {
                 0 => (region, 2, raw, write, value),
                 1 => (region, 6, raw, write, value),
-                2 => (5, 0, raw, write, value),
+                2 => (SEGMENTS + region, 0, raw, write, value),
+                3 => (2 * SEGMENTS + region, 0, raw, write, value),
                 _ => (0, 0, raw, true, value),
             };
             vec![
@@ -327,6 +450,8 @@ fn assert_same(mem: &Memory, model: &FlatMemory, ops: &[MemOp]) -> Result<(), Te
 proptest! {
     #[test]
     fn memory_matches_a_flat_byte_model_and_clones_are_independent(
+        va_size in 36u32..=52,
+        tagged in any::<bool>(),
         random_ops in prop::collection::vec(arb_mem_op(), 1..48),
         probes in prop::collection::vec(arb_memo_probe(), 0..8),
         split in any::<prop::sample::Index>(),
@@ -339,8 +464,16 @@ proptest! {
             let at = (probe.2 as usize + i) % (ops.len() + 1);
             ops.splice(at..at, memo_ops(probe));
         }
-        let mut mem = Memory::with_standard_layout();
-        let mut model = FlatMemory::standard();
+        let (mut mem, mut model) = memories(VaLayout::new(va_size, tagged));
+        // A top-byte-tagged address translates only under top-byte ignore,
+        // and then lies outside every segment.
+        let tagged_data = LAYOUT.data_base | 0x5A << 56;
+        let want = if tagged {
+            Fault::AccessFault { addr: tagged_data }
+        } else {
+            Fault::TranslationFault { addr: tagged_data }
+        };
+        prop_assert_eq!(mem.read_u64(tagged_data), Err(want));
         let (before, after) = ops.split_at(split.index(ops.len()));
         for op in before {
             apply_op(&mut mem, &mut model, op)?;

@@ -225,8 +225,14 @@ impl AuthenticatedCallStack {
             telemetry::counter("acs_longjmps_total", 1);
         }
         let key = self.config.key();
-        let lr = buf.bound_ret ^ self.pa.pac(&self.keys, key, buf.sp, buf.chain);
-        match self.pa.aut(&self.keys, key, lr, buf.chain) {
+        // `pac(sp, chain)` differs from `sp` only inside the PAC field, which
+        // the MAC strips, so the MAC of `lr` is the MAC of `bound_ret ^ sp`
+        // and runs beside the unbinding MAC, not after it.
+        let (sp_mac, ret_mac) =
+            self.pa
+                .compute_pac_pair(&self.keys, key, buf.sp, buf.bound_ret ^ buf.sp, buf.chain);
+        let lr = buf.bound_ret ^ self.pa.sign_with_pac(sp_mac, buf.sp);
+        match self.pa.verify_with_pac(ret_mac, lr, key) {
             Ok(ret) => {
                 self.cr = buf.chain;
                 self.frames.truncate(buf.depth);

@@ -191,3 +191,71 @@ proptest! {
         prop_assert_eq!(acs.verify_chain(), model.verify_chain());
     }
 }
+
+/// The ways [`longjmp_matches_the_serial_pac_aut_form`] alters a genuine
+/// buffer: `(kind, mask, word)`. Kind 0 keeps it, 1–3 XOR `mask` into the
+/// bound return, the stack pointer or the chain value, 4 replaces all three
+/// with arbitrary words.
+fn tamper(buf: &mut JmpBuf, (kind, mask, word): (u8, u64, u64)) {
+    match kind {
+        0 => {}
+        1 => buf.bound_ret ^= mask,
+        2 => buf.sp ^= mask,
+        3 => buf.chain ^= mask,
+        _ => {
+            buf.bound_ret = word;
+            buf.sp = mask;
+            buf.chain = word.rotate_left(17) ^ mask;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// `longjmp` takes both of its MACs from one paired pass; the result,
+    /// the violation's corrupted pointer and the state left behind must be
+    /// those of the paper's serial `aut(bound ⊕ pac(SP, chain), chain)`.
+    #[test]
+    fn longjmp_matches_the_serial_pac_aut_form(
+        va_size in 36u32..=52,
+        tagged in any::<bool>(),
+        masked in any::<bool>(),
+        key in arb_key(),
+        seed in any::<u64>(),
+        init in any::<u64>(),
+        rets in prop::collection::vec(arb_pointer(), 0..8),
+        split in any::<prop::sample::Index>(),
+        ret in arb_pointer(),
+        sp in prop_oneof![0x7ffe_0000u64..0x7fff_0000, any::<u64>()],
+        change in (0u8..5, any::<u64>(), any::<u64>()),
+    ) {
+        let pa = PointerAuth::new(VaLayout::new(va_size, tagged));
+        let keys = PaKeys::from_seed(seed);
+        let masking = if masked { Masking::Masked } else { Masking::Unmasked };
+        let config = AcsConfig::default().masking(masking).signing_key(key).seed(init);
+        let mut acs = AuthenticatedCallStack::new(pa, keys.clone(), config);
+        let (outer, inner) = rets.split_at(split.index(rets.len() + 1));
+        for &r in outer {
+            acs.call(r);
+        }
+        let mut buf = acs.setjmp(ret, sp);
+        for &r in inner {
+            acs.call(r);
+        }
+        tamper(&mut buf, change);
+
+        let (depth, cr) = (acs.depth(), acs.chain_register());
+        let serial = pa
+            .aut(&keys, key, buf.bound_ret ^ pa.pac(&keys, key, buf.sp, buf.chain), buf.chain)
+            .map_err(|err| AcsViolation { corrupted: err.corrupted, depth });
+        prop_assert_eq!(acs.longjmp(&buf), serial);
+        if serial.is_ok() {
+            prop_assert_eq!(acs.chain_register(), buf.chain);
+            prop_assert_eq!(acs.depth(), depth.min(buf.depth));
+        } else {
+            prop_assert_eq!(acs.chain_register(), cr);
+            prop_assert_eq!(acs.depth(), depth);
+        }
+    }
+}

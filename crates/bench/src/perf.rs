@@ -2,7 +2,7 @@
 //! compared with the previous committed bench file.
 //!
 //! Each row is measured once, printed as a human-readable table on stdout
-//! and written as machine-readable JSON (default `BENCH_pr16.json`). Every
+//! and written as machine-readable JSON (default `BENCH_pr17.json`). Every
 //! row's *before* is that row's *after* in one file: the highest-numbered
 //! `BENCH_pr<N>.json` of the working directory other than the `--out`
 //! file. A row that file lacks has no *before*. The committed files thus
@@ -39,11 +39,11 @@
 //! * **`repro_all_wall_telemetry_on`** — the same `--jobs 1` run with the
 //!   sink enabled (`PACSTACK_TELEMETRY=1`); its stdout must equal the
 //!   sink-off run's byte for byte.
-//! * **`repro_<exp>_wall_jobs1`** for each of [`EXPERIMENTS`] — one
-//!   experiment alone at `--jobs 1`, telemetry off.
+//! * **`repro_<exp>_wall_jobs1`** for each of `EXPERIMENTS` (`table1`, `figure5`,
+//!   `table3`, `faults`) — one experiment alone at `--jobs 1`, telemetry off.
 //!
 //! The `repro_all_wall_jobs1` row is also gated against its baseline: more
-//! than [`CROSS_RUN_NOISE`] times slower is an error.
+//! than `CROSS_RUN_NOISE` (1.25) times slower is an error.
 //!
 //! All timings use a monotonic clock on the current machine.
 
@@ -423,7 +423,7 @@ const EXPERIMENTS: [&str; 4] = ["table1", "figure5", "table3", "faults"];
 /// Returns a message when the child `repro` processes cannot be spawned,
 /// when their stdout differs between job counts or telemetry settings, or
 /// when the `repro all --jobs 1` wall time exceeds the baseline's by more
-/// than [`CROSS_RUN_NOISE`].
+/// than `CROSS_RUN_NOISE` (1.25).
 pub fn run(out: &Path) -> Result<(), String> {
     let perlbench = c_benchmark("perlbench")
         .ok_or("no perlbench profile")?
