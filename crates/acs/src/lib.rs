@@ -53,6 +53,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A malformed call sequence is data to the attack and fault harnesses,
+// never an abort: every failure is an `AcsViolation`.
+#![warn(clippy::unwrap_used, clippy::expect_used)]
 
 mod config;
 mod error;

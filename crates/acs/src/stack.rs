@@ -159,16 +159,22 @@ impl AuthenticatedCallStack {
     ///
     /// Returns [`AcsViolation`] if the chain does not verify — the modelled
     /// equivalent of `autia` producing a faulting pointer. The frame is
-    /// consumed either way (the process would have crashed).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called on an empty chain (a return past `main`).
+    /// consumed either way (the process would have crashed). A return on an
+    /// empty chain (a return past `main`) has no frame to authenticate
+    /// against and is a violation at depth 0 whose `corrupted` is CR.
     pub fn ret(&mut self) -> Result<u64, AcsViolation> {
-        let frame = self.frames.pop().expect("return from an empty call stack");
         if telemetry::enabled() {
             telemetry::counter("acs_rets_total", 1);
         }
+        let Some(frame) = self.frames.pop() else {
+            if telemetry::enabled() {
+                telemetry::counter("acs_violations_total", 1);
+            }
+            return Err(AcsViolation {
+                corrupted: self.cr,
+                depth: 0,
+            });
+        };
         let prev = frame.stored_chain;
         // The pad lies only in the PAC field, which the MAC strips, so the
         // MAC is taken of CR itself and runs beside the pad's, not after it.
@@ -349,6 +355,8 @@ impl std::fmt::Display for AuthenticatedCallStack {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
     use crate::Masking;
     use pacstack_pauth::VaLayout;
@@ -539,9 +547,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty call stack")]
-    fn return_past_main_panics() {
+    fn return_past_main_is_a_violation_at_depth_zero() {
         let mut acs = acs(AcsConfig::default());
-        let _ = acs.ret();
+        acs.call(RA);
+        assert_eq!(acs.ret(), Ok(RA));
+        let cr = acs.chain_register();
+        assert_eq!(
+            acs.ret(),
+            Err(AcsViolation {
+                corrupted: cr,
+                depth: 0
+            })
+        );
+        assert_eq!((acs.chain_register(), acs.depth()), (cr, 0));
     }
 }

@@ -21,7 +21,7 @@
 //! ```
 //!
 //! `repro perf` takes one setting, `--out <file>` (where to write the bench
-//! JSON; default `BENCH_pr17.json`). Every row's "before" is its "after" in
+//! JSON; default `BENCH_pr18.json`). Every row's "before" is its "after" in
 //! the highest-numbered `BENCH_pr<N>.json` other than `--out`. It
 //! re-executes this binary to time whole runs, with and without
 //! `PACSTACK_TELEMETRY=1`, and byte-compares their stdout.
@@ -255,7 +255,7 @@ fn main() -> ExitCode {
                 eprintln!("--quick applies to `repro trace` only; `repro perf` has one mode");
                 return ExitCode::FAILURE;
             }
-            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr17.json"));
+            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr18.json"));
             if let Err(e) = perf::run(&out) {
                 eprintln!("perf harness failed: {e}");
                 return ExitCode::FAILURE;

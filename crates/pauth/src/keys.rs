@@ -10,8 +10,6 @@ use pacstack_qarma::{Key128, Qarma64};
 use pacstack_telemetry as telemetry;
 use rand::Rng;
 use std::fmt;
-use std::hash::{Hash, Hasher};
-use std::sync::OnceLock;
 
 /// Selects one of the five architectural PA keys.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -62,7 +60,17 @@ impl fmt::Display for PaKey {
     }
 }
 
-/// One process's set of five 128-bit PA keys.
+/// One process's set of five 128-bit PA keys, each held as its scheduled
+/// QARMA7-64-σ1 cipher.
+///
+/// A key register and its cipher are one value: [`PaKeys::generate`] and
+/// [`PaKeys::set_key`] schedule every key they write, and
+/// [`PaKeys::cipher`] is a plain index. The schedule is four words per key
+/// (see [`Qarma64`]), so building all five costs less than the lazy
+/// first-use cache this replaced, and the whole set is small enough to copy
+/// with every `Cpu` clone. Corrupted keys go through the same route — a
+/// glitched register yields a real (wrong) cipher, which is what preserves
+/// `Fault::KeyFault` attribution downstream.
 ///
 /// # Examples
 ///
@@ -75,57 +83,25 @@ impl fmt::Display for PaKey {
 /// let child = keys.clone();
 /// assert_eq!(child.key(PaKey::Ia), keys.key(PaKey::Ia));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct PaKeys {
-    keys: [Key128; 5],
-    /// One QARMA7-64-σ1 instance per key register, scheduled (encryption
-    /// direction only) the first time [`PaKeys::cipher`] asks for it and
-    /// emptied by every write to that register. Most processes only ever
-    /// use IA (plus GA for `pacga`), so the other slots are never built.
-    /// `OnceLock` keeps `&PaKeys` shareable across worker threads, and a
-    /// clone carries whatever slots are already filled. Corrupted keys go
-    /// through the same route — a glitched register yields a real (wrong)
-    /// cipher, which is what preserves `Fault::KeyFault` attribution
-    /// downstream.
-    ciphers: [OnceLock<Qarma64>; 5],
-}
-
-// Identity is the architectural register contents alone: the ciphers are a
-// pure function of the keys, filled in lazily.
-impl PartialEq for PaKeys {
-    fn eq(&self, other: &Self) -> bool {
-        self.keys == other.keys
-    }
-}
-
-impl Eq for PaKeys {}
-
-impl Hash for PaKeys {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.keys.hash(state);
-    }
+    ciphers: [Qarma64; 5],
 }
 
 impl PaKeys {
     /// Generates five fresh keys from the given randomness source, as the
-    /// kernel does on `exec`. No cipher is scheduled yet.
+    /// kernel does on `exec`, and schedules their ciphers.
     ///
     /// Telemetry counts this as one keygen and five cipher rebuilds:
-    /// `pauth_cipher_rebuilds_total` counts cipher slots (re-)keyed, not
-    /// schedules built, so it does not depend on which keys are used.
+    /// `pauth_cipher_rebuilds_total` counts key registers (re-)keyed.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
-        let mut keys = [Key128::default(); 5];
-        for key in &mut keys {
-            *key = Key128::new(rng.gen(), rng.gen());
-        }
+        let mut next = || Qarma64::recommended(Key128::new(rng.gen(), rng.gen()));
+        let ciphers = [next(), next(), next(), next(), next()];
         if telemetry::enabled() {
             telemetry::counter("pauth_keygens_total", 1);
             telemetry::counter("pauth_cipher_rebuilds_total", 5);
         }
-        Self {
-            keys,
-            ciphers: Default::default(),
-        }
+        Self { ciphers }
     }
 
     /// Generates keys deterministically from a seed — convenient for tests
@@ -138,38 +114,23 @@ impl PaKeys {
 
     /// Returns the 128-bit value of one key register.
     pub fn key(&self, key: PaKey) -> Key128 {
-        self.keys[key.index()]
+        self.cipher(key).key()
     }
 
     /// Replaces one key register (kernel-only operation in the model) and
-    /// empties its cipher slot; the next [`PaKeys::cipher`] call for that
-    /// register schedules the new key.
+    /// schedules its cipher.
     pub fn set_key(&mut self, key: PaKey, value: Key128) {
         if telemetry::enabled() {
             telemetry::counter("pauth_key_writes_total", 1);
             telemetry::counter("pauth_cipher_rebuilds_total", 1);
         }
-        self.keys[key.index()] = value;
-        self.ciphers[key.index()].take();
+        self.ciphers[key.index()] = Qarma64::recommended(value);
     }
 
-    /// The scheduled cipher for one key register — always coherent with
-    /// [`PaKeys::key`]: it is scheduled from the current key on first use,
-    /// and every key write empties the slot.
+    /// The scheduled cipher of one key register.
     #[inline]
     pub fn cipher(&self, key: PaKey) -> &Qarma64 {
-        match self.ciphers[key.index()].get() {
-            Some(cipher) => cipher,
-            None => self.schedule(key),
-        }
-    }
-
-    /// The first-use path of [`PaKeys::cipher`], kept out of line so the
-    /// hot path stays one load and one branch.
-    #[cold]
-    #[inline(never)]
-    fn schedule(&self, key: PaKey) -> &Qarma64 {
-        self.ciphers[key.index()].get_or_init(|| Qarma64::recommended(self.key(key)))
+        &self.ciphers[key.index()]
     }
 }
 
@@ -211,48 +172,47 @@ mod tests {
                 Qarma64::recommended(keys.key(key)),
                 "{key} incoherent on {what}"
             );
+            assert_eq!(keys.cipher(key).key(), keys.key(key), "{key} on {what}");
         }
     }
 
     #[test]
-    fn lazy_ciphers_stay_coherent_with_keys() {
+    fn ciphers_stay_coherent_with_keys() {
         let fresh = PaKeys::from_seed(3);
-        let cloned_before_use = fresh.clone();
         assert_coherent(&fresh, "fresh keys");
-        assert_coherent(&cloned_before_use, "a clone taken before first use");
-        let cloned_after_use = fresh.clone();
-        assert_coherent(&cloned_after_use, "a clone taken after first use");
-
-        let mut rekeyed = fresh.clone();
-        rekeyed.set_key(PaKey::Da, Key128::new(0xAA, 0xBB));
-        assert_eq!(rekeyed.cipher(PaKey::Da).key(), Key128::new(0xAA, 0xBB));
-        assert_coherent(&rekeyed, "set_key on a scheduled slot");
-        // The write re-keyed only the copy it was made on.
-        assert_eq!(fresh.cipher(PaKey::Da).key(), fresh.key(PaKey::Da));
-    }
-
-    #[test]
-    fn concurrent_first_use_agrees() {
-        let keys = PaKeys::from_seed(17);
-        let ciphers: Vec<Vec<Qarma64>> = std::thread::scope(|scope| {
-            let workers: Vec<_> = (0..4)
-                .map(|_| scope.spawn(|| PaKey::ALL.map(|key| *keys.cipher(key)).to_vec()))
-                .collect();
-            workers.into_iter().map(|w| w.join().unwrap()).collect()
-        });
-        for per_thread in &ciphers {
-            assert_eq!(per_thread, &ciphers[0]);
+        assert_coherent(&fresh.clone(), "a clone");
+        for key in PaKey::ALL {
+            let mut rekeyed = fresh.clone();
+            let value = Key128::new(0xAA ^ key.index() as u64, 0xBB);
+            rekeyed.set_key(key, value);
+            assert_eq!(*rekeyed.cipher(key), Qarma64::recommended(value), "{key}");
+            assert_coherent(&rekeyed, &format!("set_key({key})"));
+            for other in PaKey::ALL.into_iter().filter(|&k| k != key) {
+                assert_eq!(
+                    rekeyed.cipher(other),
+                    fresh.cipher(other),
+                    "{key} moved {other}"
+                );
+            }
         }
-        assert_coherent(&keys, "keys first used from four threads");
+        // The writes re-keyed only the copies they were made on.
+        assert_eq!(fresh, PaKeys::from_seed(3));
     }
 
     #[test]
-    fn equality_ignores_cipher_slots() {
+    fn key_set_stays_small_enough_to_copy_per_trial() {
+        // Every `Cpu` clone a chaos trial makes copies the key set.
+        assert!(
+            std::mem::size_of::<PaKeys>() <= 512,
+            "PaKeys is {} bytes",
+            std::mem::size_of::<PaKeys>()
+        );
+    }
+
+    #[test]
+    fn equality_follows_the_key_registers() {
         let mut a = PaKeys::from_seed(5);
         let b = PaKeys::from_seed(5);
-        // Schedule a's ciphers and rewrite an identical value: the slots
-        // change state, identity must not.
-        assert_coherent(&a, "a");
         let ia = a.key(PaKey::Ia);
         a.set_key(PaKey::Ia, ia);
         assert_eq!(a, b);

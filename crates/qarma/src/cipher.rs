@@ -1,16 +1,18 @@
 //! The QARMA-64 cipher proper: whitened forward rounds, a central reflector,
 //! and backward rounds, all parameterised by S-box choice and round count.
 //!
-//! [`Qarma64::encrypt`] runs the packed-nibble fast path over the
-//! encryption schedule precomputed in [`Qarma64::with_key`], and
-//! [`Qarma64::decrypt`] runs it over a decryption schedule derived per call
-//! (no hot path decrypts); [`Qarma64::encrypt_pair`] runs two blocks under
-//! one tweak through the same kernel in one pass; the original
-//! cell-based data path survives as [`Qarma64::encrypt_reference`]/
-//! [`Qarma64::decrypt_reference`] (see the [`crate::reference`] module) and
-//! the two are pinned against each other by a differential proptest suite.
+//! [`Qarma64::with_key`] builds the four-word encryption schedule eagerly
+//! (see the `schedule` module), and [`Qarma64::encrypt`] runs the fast path
+//! over it; [`Qarma64::decrypt`] builds the four-word decryption schedule
+//! per call (no hot path decrypts); [`Qarma64::encrypt_pair`] runs two
+//! blocks under one tweak through the same kernel in one pass. Both data
+//! paths form the round tweakeys from the core key and the round constants
+//! themselves. The original cell-based data path survives as
+//! [`Qarma64::encrypt_reference`]/[`Qarma64::decrypt_reference`] (see the
+//! [`crate::reference`] module) and the two are pinned against each other
+//! by a differential proptest suite.
 
-use crate::constants::{SIGMA0, SIGMA1, SIGMA2, SIGMA2_INV};
+use crate::constants::{ALPHA, ROUND_CONSTANTS, SIGMA0, SIGMA1, SIGMA2, SIGMA2_INV};
 use crate::packed::{
     mt, reflector, sub_bytes, tinv_m, tweak_fwd, SIGMA0_BYTES, SIGMA1_BYTES, SIGMA2_BYTES,
     SIGMA2_INV_BYTES,
@@ -18,7 +20,6 @@ use crate::packed::{
 use crate::schedule::DirSchedule;
 use crate::{reference, Key128};
 use std::fmt;
-use std::hash::{Hash, Hasher};
 
 /// Which of QARMA's three published 4-bit S-boxes to use.
 ///
@@ -81,12 +82,13 @@ impl fmt::Display for Sigma {
 
 /// A QARMA-64 instance: a 128-bit key, an S-box choice and `r` forward rounds.
 ///
-/// Construction precomputes the encryption-direction key schedule (`w1`,
-/// the per-round tweakeys, the reflector key), so `encrypt` touches no
-/// key-derivation code — build an instance once per key and reuse it.
-/// `decrypt` derives the decryption schedule on every call: pointer
-/// authentication only ever encrypts, so that direction is not worth the
-/// space or the set-up time.
+/// Construction derives the encryption-direction key schedule, four words
+/// (`w0`, `w1`, the core key and the τ⁻¹-permuted reflector key), and the
+/// data path forms every round tweakey from them with one XOR, so `encrypt`
+/// touches no key-derivation code. The schedule is cheap enough to build
+/// for every key: the instance is 48 bytes and holds no other copy of the
+/// key. `decrypt` derives the decryption schedule on every call: pointer
+/// authentication only ever encrypts.
 ///
 /// The paper's recommended parameterisations are `r = 5` with σ0, `r = 7`
 /// with σ1, and `r = 11` with σ2. [`Qarma64::recommended`] builds the σ1/r=7
@@ -101,32 +103,15 @@ impl fmt::Display for Sigma {
 /// let c = cipher.encrypt(0xdead_beef, 42);
 /// assert_eq!(cipher.decrypt(c, 42), 0xdead_beef);
 /// ```
-#[derive(Debug, Clone, Copy)]
+// The schedule is an injective function of the key (it keeps `w0` and `k0`
+// verbatim), so the derived comparison and hash decide identity by
+// (key, sigma, rounds).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Qarma64 {
-    key: Key128,
-    sigma: Sigma,
-    rounds: usize,
-    /// Encryption-direction key material.
+    /// Encryption-direction key material; also the key itself.
     schedule: DirSchedule,
-}
-
-// The schedule is a pure function of (key, sigma, rounds), so identity is
-// decided by the parameters alone — comparing or hashing the derived tables
-// would only re-state the same information more slowly.
-impl PartialEq for Qarma64 {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key && self.sigma == other.sigma && self.rounds == other.rounds
-    }
-}
-
-impl Eq for Qarma64 {}
-
-impl Hash for Qarma64 {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.key.hash(state);
-        self.sigma.hash(state);
-        self.rounds.hash(state);
-    }
+    rounds: usize,
+    sigma: Sigma,
 }
 
 impl Qarma64 {
@@ -141,7 +126,7 @@ impl Qarma64 {
     }
 
     /// Creates a cipher from a [`Key128`], an S-box and a round count,
-    /// precomputing the encryption key schedule.
+    /// deriving the four-word encryption key schedule.
     ///
     /// # Panics
     ///
@@ -152,10 +137,9 @@ impl Qarma64 {
             "QARMA-64 supports 1..=8 forward rounds, got {rounds}"
         );
         Self {
-            key,
-            sigma,
-            rounds,
             schedule: DirSchedule::encrypt(key),
+            rounds,
+            sigma,
         }
     }
 
@@ -166,7 +150,7 @@ impl Qarma64 {
 
     /// Returns the key this instance was built with.
     pub fn key(&self) -> Key128 {
-        self.key
+        self.schedule.key()
     }
 
     /// Returns the S-box variant in use.
@@ -180,14 +164,15 @@ impl Qarma64 {
     }
 
     /// The shared packed data path: whitened forward rounds, central
-    /// reflector, backward rounds, over one direction's precomputed
-    /// schedule, for `N` blocks under one tweak. The tweak sequence is
-    /// computed once on the way forward and reused on the way back (the
-    /// backward rounds consume the same values in reverse), and no
-    /// `[u8; 16]` cell array is ever materialised. Each round is applied to
-    /// every block before the next round starts, so for `N > 1` the blocks'
-    /// independent dependency chains interleave; `N = 1` is the plain
-    /// single-block cipher.
+    /// reflector, backward rounds, over one direction's schedule, for `N`
+    /// blocks under one tweak. Round `i`'s tweakey, `k ⊕ c_i ⊕ t_i` forward
+    /// and `k ⊕ c_i ⊕ α ⊕ t_i` backward, is formed while the tweak schedule
+    /// runs (the backward rounds consume the same tweaks in reverse), so
+    /// each round adds one ready word to the state, and no `[u8; 16]` cell
+    /// array is ever materialised. Each round is applied to every block
+    /// before the next round starts, so for `N > 1` the blocks' independent
+    /// dependency chains interleave; `N = 1` is the plain single-block
+    /// cipher.
     fn crypt_packed<const N: usize>(
         &self,
         blocks: [u64; N],
@@ -197,40 +182,42 @@ impl Qarma64 {
         let sb = self.sigma.byte_table();
         let sb_inv = self.sigma.inverse_byte_table();
         let r = self.rounds;
-
-        let mut ts = [0u64; 9];
-        ts[0] = tweak;
-        for i in 1..=r {
-            ts[i] = tweak_fwd(ts[i - 1]);
+        // Every round's tweakey, formed beside the tweak schedule and off
+        // the state's dependency chain: each round below adds one word.
+        let mut fwd = [0u64; 8];
+        let mut bwd = [0u64; 8];
+        let mut t = tweak;
+        for i in 0..r {
+            fwd[i] = ks.k ^ ROUND_CONSTANTS[i] ^ t;
+            bwd[i] = ks.k ^ ROUND_CONSTANTS[i] ^ ALPHA ^ t;
+            t = tweak_fwd(t);
         }
+        let t_mid = t;
 
-        let mut state = blocks;
+        let mut state = blocks.map(|block| block ^ ks.w_in);
         // Round 0 is the short round: no ShuffleCells/MixColumns.
         for s in &mut state {
-            *s = sub_bytes(*s ^ ks.w_in ^ ks.fwd_key[0] ^ ts[0], sb);
+            *s = sub_bytes(*s ^ fwd[0], sb);
         }
-        for (&k, &t) in ks.fwd_key[1..r].iter().zip(&ts[1..r]) {
+        for &tk in &fwd[1..r] {
             for s in &mut state {
-                *s = sub_bytes(mt(*s ^ k ^ t), sb);
+                *s = sub_bytes(mt(*s ^ tk), sb);
             }
         }
 
-        let t_mid = ts[r];
+        let (tk_out, tk_in) = (ks.w_out ^ t_mid, ks.w_in ^ t_mid);
         for s in &mut state {
-            *s = sub_bytes(mt(*s ^ ks.w_out ^ t_mid), sb);
+            *s = sub_bytes(mt(*s ^ tk_out), sb);
             *s = reflector(*s) ^ ks.reflect_key;
-            *s = tinv_m(sub_bytes(*s, sb_inv)) ^ ks.w_in ^ t_mid;
+            *s = tinv_m(sub_bytes(*s, sb_inv)) ^ tk_in;
         }
 
-        for i in (1..r).rev() {
+        for &tk in bwd[1..r].iter().rev() {
             for s in &mut state {
-                *s = tinv_m(sub_bytes(*s, sb_inv)) ^ ks.bwd_key[i] ^ ts[i];
+                *s = tinv_m(sub_bytes(*s, sb_inv)) ^ tk;
             }
         }
-        for s in &mut state {
-            *s = sub_bytes(*s, sb_inv) ^ ks.bwd_key[0] ^ ts[0] ^ ks.w_out;
-        }
-        state
+        state.map(|s| sub_bytes(s, sb_inv) ^ bwd[0] ^ ks.w_out)
     }
 
     /// Runs the `N`-block kernel on the dispatched data path: SSSE3 on
@@ -296,20 +283,20 @@ impl Qarma64 {
     /// with `Q·k0`. That schedule is derived on every call, so decrypting in
     /// bulk costs a key derivation per block.
     pub fn decrypt(&self, ciphertext: u64, tweak: u64) -> u64 {
-        let [p] = self.crypt([ciphertext], tweak, &DirSchedule::decrypt(self.key));
+        let [p] = self.crypt([ciphertext], tweak, &DirSchedule::decrypt(self.key()));
         p
     }
 
     /// Encrypts through the cell-based reference path (the differential
     /// oracle; see [`crate::reference`]).
     pub fn encrypt_reference(&self, plaintext: u64, tweak: u64) -> u64 {
-        reference::encrypt(self.key, self.sigma, self.rounds, plaintext, tweak)
+        reference::encrypt(self.key(), self.sigma, self.rounds, plaintext, tweak)
     }
 
     /// Decrypts through the cell-based reference path (the differential
     /// oracle; see [`crate::reference`]).
     pub fn decrypt_reference(&self, ciphertext: u64, tweak: u64) -> u64 {
-        reference::decrypt(self.key, self.sigma, self.rounds, ciphertext, tweak)
+        reference::decrypt(self.key(), self.sigma, self.rounds, ciphertext, tweak)
     }
 }
 
@@ -391,7 +378,7 @@ mod tests {
         for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
             for rounds in 1..=8 {
                 let cipher = Qarma64::new(W0, K0, sigma, rounds);
-                let dec = DirSchedule::decrypt(cipher.key);
+                let dec = DirSchedule::decrypt(cipher.key());
                 for i in 0..16u64 {
                     let p = PLAINTEXT.wrapping_mul(i | 1);
                     let t = TWEAK.wrapping_add(i);
@@ -455,7 +442,7 @@ mod tests {
     }
 
     #[test]
-    fn equality_and_hash_ignore_the_derived_schedule() {
+    fn equality_and_hash_follow_key_sigma_and_rounds() {
         use std::collections::HashSet;
         let a = Qarma64::new(W0, K0, Sigma::Sigma1, 7);
         let b = Qarma64::recommended(Key128::new(W0, K0));

@@ -110,7 +110,13 @@ pub(crate) fn mt(x: u64) -> u64 {
 /// Backward-round linear layer: τ⁻¹∘M, applied after inverse SubCells.
 #[inline(always)]
 pub(crate) fn tinv_m(x: u64) -> u64 {
-    apply_perm(&TAU_INV_MASKS, mix_swar(x))
+    tau_inv(mix_swar(x))
+}
+
+/// τ⁻¹ alone: the key schedule's reflector-key permutation.
+#[inline(always)]
+pub(crate) fn tau_inv(x: u64) -> u64 {
+    apply_perm(&TAU_INV_MASKS, x)
 }
 
 /// The fused reflector centre τ⁻¹∘M∘τ (the key addition commutes out:
@@ -118,7 +124,7 @@ pub(crate) fn tinv_m(x: u64) -> u64 {
 /// τ⁻¹-permuted reflector key instead).
 #[inline(always)]
 pub(crate) fn reflector(x: u64) -> u64 {
-    apply_perm(&TAU_INV_MASKS, mix_swar(apply_perm(&TAU_MASKS, x)))
+    tau_inv(mix_swar(apply_perm(&TAU_MASKS, x)))
 }
 
 // ---- tweak schedule ----

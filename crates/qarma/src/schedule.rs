@@ -1,31 +1,18 @@
-//! Precomputed QARMA-64 key schedules.
+//! The QARMA-64 key schedule: four words per direction.
 //!
 //! The reference data path re-derives `w1`, the per-round tweakeys and the
-//! reflector key on every call. All of that material is a pure function of
-//! the 128-bit key, so [`DirSchedule::encrypt`] derives it once when the
-//! cipher is built and the hot path only XORs precomputed words. Only the
-//! encryption direction is kept: pointer authentication never decrypts, so
-//! [`DirSchedule::decrypt`] is derived per call by `Qarma64::decrypt`.
+//! reflector key on every call. Only four words of that material cannot be
+//! had from another with one XOR: the two whitening keys, the core key and
+//! the τ⁻¹-permuted reflector key. [`DirSchedule`] holds exactly those, and
+//! the data paths form each round tweakey themselves, `k ⊕ c_i` forward and
+//! `k ⊕ c_i ⊕ α` backward, one XOR that is off the state's dependency chain.
+//! Deriving the four words is a handful of ALU operations, so
+//! `Qarma64::with_key` builds the encryption schedule eagerly and
+//! `Qarma64::decrypt` builds the decryption schedule per call.
 
-use crate::cells::{from_cells, mix_columns, permute, to_cells};
-use crate::constants::{ALPHA, ROUND_CONSTANTS, TAU_INV};
+use crate::constants::ALPHA;
+use crate::packed::{tau_inv, tinv_m};
 use crate::Key128;
-
-/// A 64-bit packed state spread to one cell per byte (lane `d` = cell `d`),
-/// as two little-endian `u64` halves — the in-register layout of the SIMD
-/// data path, precomputed here so the hot loop just loads it.
-#[cfg(target_arch = "x86_64")]
-pub(crate) type Spread = [u64; 2];
-
-/// Spreads a packed word into the one-cell-per-byte layout.
-#[cfg(target_arch = "x86_64")]
-pub(crate) fn spread_cells(x: u64) -> Spread {
-    let mut halves = [0u64; 2];
-    for d in 0..16 {
-        halves[d / 8] |= ((x >> (60 - 4 * d)) & 0xF) << (8 * (d % 8));
-    }
-    halves
-}
 
 /// The derived whitening key `w1 = (w0 >>> 1) ⊕ (w0 >> 63)`.
 fn w1_of(w0: u64) -> u64 {
@@ -44,78 +31,88 @@ pub(crate) struct DirSchedule {
     /// Whitening XORed into the output block (`w1` when encrypting); also
     /// the tweakey core of the extra forward round before the reflector.
     pub w_out: u64,
-    /// Forward-round tweakeys `k ⊕ c_i` (tweak added per call).
-    pub fwd_key: [u64; 8],
-    /// Backward-round tweakeys `k ⊕ c_i ⊕ α`.
-    pub bwd_key: [u64; 8],
-    /// The reflector key, pre-permuted by τ⁻¹ and packed, so the reflector
-    /// centre collapses to one table application and one XOR.
+    /// The core key (`k0` when encrypting, `k0 ⊕ α` when decrypting); round
+    /// `i` adds `k ⊕ c_i` forward and `k ⊕ c_i ⊕ α` backward.
+    pub k: u64,
+    /// The reflector key, pre-permuted by τ⁻¹, so the reflector centre
+    /// collapses to one fused linear layer and one XOR.
     pub reflect_key: u64,
-    /// [`DirSchedule::w_in`] in the SIMD lane layout.
-    #[cfg(target_arch = "x86_64")]
-    pub w_in_spread: Spread,
-    /// [`DirSchedule::w_out`] in the SIMD lane layout.
-    #[cfg(target_arch = "x86_64")]
-    pub w_out_spread: Spread,
-    /// [`DirSchedule::fwd_key`] in the SIMD lane layout.
-    #[cfg(target_arch = "x86_64")]
-    pub fwd_key_spread: [Spread; 8],
-    /// [`DirSchedule::bwd_key`] in the SIMD lane layout.
-    #[cfg(target_arch = "x86_64")]
-    pub bwd_key_spread: [Spread; 8],
-    /// [`DirSchedule::reflect_key`] in the SIMD lane layout.
-    #[cfg(target_arch = "x86_64")]
-    pub reflect_key_spread: Spread,
 }
 
 impl DirSchedule {
     /// The encryption-direction schedule of `key`.
     pub fn encrypt(key: Key128) -> Self {
-        let w0 = key.w0();
-        let k0 = key.k0();
-        Self::new(w0, w1_of(w0), k0, k0)
+        let (w0, k0) = (key.w0(), key.k0());
+        Self {
+            w_in: w0,
+            w_out: w1_of(w0),
+            k: k0,
+            reflect_key: tau_inv(k0),
+        }
     }
 
     /// The decryption-direction schedule of `key`: whitening keys swapped,
-    /// α folded into the core key, reflector keyed with `Q·k0`.
+    /// α folded into the core key, reflector keyed with `Q·k0` (so its
+    /// τ⁻¹-permuted form is `τ⁻¹(M·k0)`).
     pub fn decrypt(key: Key128) -> Self {
-        let w0 = key.w0();
-        let k0 = key.k0();
-        let q_k0 = from_cells(&mix_columns(&to_cells(k0)));
-        Self::new(w1_of(w0), w0, k0 ^ ALPHA, q_k0)
+        let (w0, k0) = (key.w0(), key.k0());
+        Self {
+            w_in: w1_of(w0),
+            w_out: w0,
+            k: k0 ^ ALPHA,
+            reflect_key: tinv_m(k0),
+        }
     }
 
-    fn new(w_in: u64, w_out: u64, k: u64, k1: u64) -> Self {
-        let mut fwd_key = [0u64; 8];
-        let mut bwd_key = [0u64; 8];
-        for (i, c) in ROUND_CONSTANTS.iter().enumerate() {
-            fwd_key[i] = k ^ c;
-            bwd_key[i] = k ^ c ^ ALPHA;
-        }
-        let reflect_key = from_cells(&permute(&to_cells(k1), &TAU_INV));
-        Self {
-            w_in,
-            w_out,
-            fwd_key,
-            bwd_key,
-            reflect_key,
-            #[cfg(target_arch = "x86_64")]
-            w_in_spread: spread_cells(w_in),
-            #[cfg(target_arch = "x86_64")]
-            w_out_spread: spread_cells(w_out),
-            #[cfg(target_arch = "x86_64")]
-            fwd_key_spread: fwd_key.map(spread_cells),
-            #[cfg(target_arch = "x86_64")]
-            bwd_key_spread: bwd_key.map(spread_cells),
-            #[cfg(target_arch = "x86_64")]
-            reflect_key_spread: spread_cells(reflect_key),
-        }
+    /// The key an encryption-direction schedule was built from.
+    pub fn key(&self) -> Key128 {
+        Key128::new(self.w_in, self.k)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cells::{from_cells, mix_columns, permute, to_cells};
+    use crate::constants::TAU_INV;
+    use rand::{Rng, SeedableRng};
+
+    /// τ⁻¹ through the cell reference.
+    fn tau_inv_cells(x: u64) -> u64 {
+        from_cells(&permute(&to_cells(x), &TAU_INV))
+    }
+
+    #[test]
+    fn schedule_words_match_the_cell_reference_for_random_keys() {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(0x5eed);
+        for _ in 0..256 {
+            let key = Key128::new(rng.gen(), rng.gen());
+            let (w0, k0) = (key.w0(), key.k0());
+            let w1 = w0.rotate_right(1) ^ (w0 >> 63);
+            let q_k0 = from_cells(&mix_columns(&to_cells(k0)));
+            assert_eq!(
+                DirSchedule::encrypt(key),
+                DirSchedule {
+                    w_in: w0,
+                    w_out: w1,
+                    k: k0,
+                    reflect_key: tau_inv_cells(k0),
+                },
+                "encryption schedule of {key:?}"
+            );
+            assert_eq!(
+                DirSchedule::decrypt(key),
+                DirSchedule {
+                    w_in: w1,
+                    w_out: w0,
+                    k: k0 ^ ALPHA,
+                    reflect_key: tau_inv_cells(q_k0),
+                },
+                "decryption schedule of {key:?}"
+            );
+            assert_eq!(DirSchedule::encrypt(key).key(), key);
+        }
+    }
 
     #[test]
     fn schedule_is_deterministic_in_the_key() {
@@ -125,29 +122,5 @@ mod tests {
             DirSchedule::encrypt(key),
             DirSchedule::encrypt(Key128::new(0x84be85ce9804e94b ^ 1, 0xec2802d4e0a488e9))
         );
-    }
-
-    #[test]
-    fn derived_whitening_matches_reference_formula() {
-        let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
-        let (enc, dec) = (DirSchedule::encrypt(key), DirSchedule::decrypt(key));
-        let w0 = key.w0();
-        let w1 = w0.rotate_right(1) ^ (w0 >> 63);
-        assert_eq!(enc.w_in, w0);
-        assert_eq!(enc.w_out, w1);
-        assert_eq!(dec.w_in, w1);
-        assert_eq!(dec.w_out, w0);
-    }
-
-    #[test]
-    fn round_keys_fold_constants_and_alpha() {
-        let key = Key128::new(7, 9);
-        let (enc, dec) = (DirSchedule::encrypt(key), DirSchedule::decrypt(key));
-        for (i, c) in ROUND_CONSTANTS.iter().enumerate() {
-            assert_eq!(enc.fwd_key[i], key.k0() ^ c);
-            assert_eq!(enc.bwd_key[i], key.k0() ^ c ^ ALPHA);
-            assert_eq!(dec.fwd_key[i], key.k0() ^ ALPHA ^ c);
-            assert_eq!(dec.bwd_key[i], key.k0() ^ c);
-        }
     }
 }

@@ -15,8 +15,15 @@
 //!   rotations are SWAR shifts on the byte lanes; ρ's linearity folds the
 //!   two ρ¹ terms of `circ(0, ρ¹, ρ², ρ¹)` into one.
 //!
-//! The schedule's key material is pre-spread into this lane layout by
-//! [`crate::schedule`], so the hot loop only loads and XORs.
+//! The four schedule words are spread into this lane layout on entry (a
+//! handful of instructions each, off the state's dependency chain), and a
+//! round tweakey is `spread(k) ⊕ spread(c_i) ⊕ t_i` forward and
+//! `spread(k) ⊕ spread(c_i ⊕ α) ⊕ t_i` backward: the spread is linear over
+//! XOR, so the constants' spreads are two compile-time tables. The
+//! tweakeys are formed in the tweak-schedule loop and kept in arrays, so
+//! each round adds one ready vector to the state; written inline as one
+//! XOR expression, LLVM re-associates the state into it and puts three
+//! XORs per round on the chain.
 //!
 //! This module is the one place in the crate that uses `unsafe` (the crate
 //! is otherwise `#![deny(unsafe_code)]`): the SSSE3 intrinsics require a
@@ -28,8 +35,10 @@
 //! whichever path dispatch selects.
 #![allow(unsafe_code)]
 
-use crate::constants::{H, LFSR_CELLS, SIGMA0, SIGMA1, SIGMA2, SIGMA2_INV, TAU, TAU_INV};
-use crate::schedule::{DirSchedule, Spread};
+use crate::constants::{
+    ALPHA, H, LFSR_CELLS, ROUND_CONSTANTS, SIGMA0, SIGMA1, SIGMA2, SIGMA2_INV, TAU, TAU_INV,
+};
+use crate::schedule::DirSchedule;
 use crate::Sigma;
 use core::arch::x86_64::{
     __m128i, _mm_alignr_epi8, _mm_and_si128, _mm_andnot_si128, _mm_cvtsi128_si64,
@@ -37,6 +46,10 @@ use core::arch::x86_64::{
     _mm_set_epi64x, _mm_setzero_si128, _mm_shuffle_epi8, _mm_slli_epi16, _mm_srli_epi16,
     _mm_unpacklo_epi8, _mm_xor_si128,
 };
+
+/// A 16-byte vector as two little-endian `u64` halves (lane `d` is byte
+/// `d % 8` of half `d / 8`): the compile-time form of an XMM constant.
+type Spread = [u64; 2];
 
 /// A cell permutation as a `pshufb` index pair: lane `d` reads `perm[d]`.
 const fn idx_pair(perm: &[usize; 16]) -> Spread {
@@ -70,6 +83,34 @@ const fn lfsr_lane_pair() -> Spread {
         i += 1;
     }
     halves
+}
+
+/// Packed `u64` → one cell per byte lane, at compile time: each 32-bit
+/// half's eight nibbles move to eight bytes (least-significant nibble to
+/// byte 0), and a byte swap puts the most-significant cell in lane 0.
+const fn spread_const(x: u64) -> Spread {
+    const fn half(y: u64) -> u64 {
+        let y = (y | (y << 16)) & 0x0000_FFFF_0000_FFFF;
+        let y = (y | (y << 8)) & 0x00FF_00FF_00FF_00FF;
+        let y = (y | (y << 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+        y.swap_bytes()
+    }
+    [half(x >> 32), half(x & 0xFFFF_FFFF)]
+}
+
+/// `spread(c_i)` for every round constant: the forward tweakey tables.
+const FWD_CONSTANTS: [Spread; 8] = constant_spreads(0);
+/// `spread(c_i ⊕ α)` for every round constant: the backward tweakey tables.
+const BWD_CONSTANTS: [Spread; 8] = constant_spreads(ALPHA);
+
+const fn constant_spreads(fold: u64) -> [Spread; 8] {
+    let mut out = [[0; 2]; 8];
+    let mut i = 0;
+    while i < 8 {
+        out[i] = spread_const(ROUND_CONSTANTS[i] ^ fold);
+        i += 1;
+    }
+    out
 }
 
 const TAU_IDX: Spread = idx_pair(&TAU);
@@ -220,53 +261,72 @@ fn crypt_ssse3<const N: usize>(
     let sb_inv = load(sb_inv_pair);
     let r = rounds;
 
-    let mut ts = [_mm_setzero_si128(); 9];
-    ts[0] = spread(tweak);
-    for i in 1..=r {
-        ts[i] = tweak_fwd(ts[i - 1]);
-    }
-
-    let xor3 = |a: __m128i, b: Spread, c: __m128i| _mm_xor_si128(_mm_xor_si128(a, load(b)), c);
+    let xor = |a: __m128i, b: __m128i| _mm_xor_si128(a, b);
     let sub = |v: __m128i, table: __m128i| _mm_shuffle_epi8(table, v);
+    // Every round's tweakey, formed beside the tweak schedule and off the
+    // state's dependency chain: each round below adds one ready vector.
+    let k = spread(ks.k);
+    let mut fwd = [_mm_setzero_si128(); 8];
+    let mut bwd = [_mm_setzero_si128(); 8];
+    let mut t = spread(tweak);
+    for i in 0..r {
+        fwd[i] = xor(k, xor(load(FWD_CONSTANTS[i]), t));
+        bwd[i] = xor(k, xor(load(BWD_CONSTANTS[i]), t));
+        t = tweak_fwd(t);
+    }
+    let t_mid = t;
 
     let mut state = blocks.map(|block| spread(block ^ ks.w_in));
     // Round 0 is the short round: no ShuffleCells/MixColumns.
     for s in &mut state {
-        *s = sub(xor3(*s, ks.fwd_key_spread[0], ts[0]), sb);
+        *s = sub(xor(*s, fwd[0]), sb);
     }
-    for (&k, &t) in ks.fwd_key_spread[1..r].iter().zip(&ts[1..r]) {
+    for &tk in &fwd[1..r] {
         for s in &mut state {
-            *s = sub(mt(xor3(*s, k, t)), sb);
+            *s = sub(mt(xor(*s, tk)), sb);
         }
     }
 
-    let t_mid = ts[r];
+    let tk_out = xor(spread(ks.w_out), t_mid);
+    let tk_in = xor(spread(ks.w_in), t_mid);
+    let reflect_key = spread(ks.reflect_key);
     for s in &mut state {
-        *s = sub(mt(xor3(*s, ks.w_out_spread, t_mid)), sb);
-        *s = _mm_xor_si128(
+        *s = sub(mt(xor(*s, tk_out)), sb);
+        *s = xor(
             _mm_shuffle_epi8(mix(_mm_shuffle_epi8(*s, load(TAU_IDX))), load(TAU_INV_IDX)),
-            load(ks.reflect_key_spread),
+            reflect_key,
         );
-        *s = xor3(tinv_m(sub(*s, sb_inv)), ks.w_in_spread, t_mid);
+        *s = xor(tinv_m(sub(*s, sb_inv)), tk_in);
     }
 
-    for i in (1..r).rev() {
+    for &tk in bwd[1..r].iter().rev() {
         for s in &mut state {
-            *s = xor3(tinv_m(sub(*s, sb_inv)), ks.bwd_key_spread[i], ts[i]);
+            *s = xor(tinv_m(sub(*s, sb_inv)), tk);
         }
     }
-    for s in &mut state {
-        *s = xor3(sub(*s, sb_inv), ks.bwd_key_spread[0], ts[0]);
-    }
-
-    state.map(|s| pack(s) ^ ks.w_out)
+    state.map(|s| pack(xor(sub(s, sb_inv), bwd[0])) ^ ks.w_out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{spread_cells, DirSchedule};
+    use crate::schedule::DirSchedule;
     use crate::{reference, Key128};
+
+    /// The per-cell spread: lane `d` takes cell `d`, one nibble at a time.
+    fn spread_cells(x: u64) -> Spread {
+        let mut halves = [0u64; 2];
+        for d in 0..16 {
+            halves[d / 8] |= ((x >> (60 - 4 * d)) & 0xF) << (8 * (d % 8));
+        }
+        halves
+    }
+
+    /// A vector's two little-endian halves.
+    fn halves(v: __m128i) -> Spread {
+        // SAFETY: `__m128i` and `[u64; 2]` are both 16 plain bytes.
+        unsafe { core::mem::transmute::<__m128i, Spread>(v) }
+    }
 
     fn samples() -> impl Iterator<Item = u64> {
         (0..64)
@@ -286,6 +346,24 @@ mod tests {
             let (rt, direct) = unsafe { (pack(spread(x)), pack(load(s))) };
             assert_eq!(rt, x, "x = {x:#018x}");
             assert_eq!(direct, x, "scalar spread diverged for x = {x:#018x}");
+            assert_eq!(
+                spread_const(x),
+                s,
+                "const spread diverged for x = {x:#018x}"
+            );
+        }
+    }
+
+    #[test]
+    fn constant_tables_are_the_spread_round_constants() {
+        for (i, &c) in ROUND_CONSTANTS.iter().enumerate() {
+            assert_eq!(FWD_CONSTANTS[i], spread_cells(c), "c_{i}");
+            assert_eq!(BWD_CONSTANTS[i], spread_cells(c ^ ALPHA), "c_{i} ^ alpha");
+            if available() {
+                // SAFETY: guarded by available() above.
+                let (fwd, bwd) = unsafe { (halves(spread(c)), halves(spread(c ^ ALPHA))) };
+                assert_eq!((FWD_CONSTANTS[i], BWD_CONSTANTS[i]), (fwd, bwd), "c_{i}");
+            }
         }
     }
 
