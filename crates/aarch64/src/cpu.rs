@@ -202,7 +202,7 @@ pub struct Cpu {
     /// Whether the PAC memo cache is consulted at all. On by default;
     /// [`Cpu::set_pac_memo`] turns it off for differential testing.
     pac_memo: bool,
-    /// `(hits, misses)` on the PAC memo cache, for the perf harness.
+    /// `(hits, misses)` on the PAC memo cache, for differential tests.
     pac_cache_stats: (u64, u64),
     cycles: u64,
     /// Retired instructions per class, indexed by `InsnClass as usize`;

@@ -16,15 +16,8 @@
 //! repro reuse      §6.1      interchangeable signed pointers per scheme
 //! repro faults     §3/§6.2   fault-injection coverage matrix + supervisor economics
 //! repro all        everything above
-//! repro perf       per-layer and end-to-end timings (not part of `all`)
 //! repro trace      deterministic telemetry capture + export (not part of `all`)
 //! ```
-//!
-//! `repro perf` takes one setting, `--out <file>` (where to write the bench
-//! JSON; default `BENCH_pr18.json`). Every row's "before" is its "after" in
-//! the highest-numbered `BENCH_pr<N>.json` other than `--out`. It
-//! re-executes this binary to time whole runs, with and without
-//! `PACSTACK_TELEMETRY=1`, and byte-compares their stdout.
 //!
 //! `repro trace` enables the telemetry sink, drives a fixed scenario
 //! through every instrumented layer, prints a summary plus the Prometheus
@@ -32,14 +25,18 @@
 //! (chrome://tracing) and `flamegraph.txt` to `--out <dir>` (default
 //! `results/trace`). All artifacts are clocked on simulated cycles and are
 //! byte-identical at any `--jobs` count. `--quick` shrinks the scenario
-//! for CI, where the dump is golden-diffed.
+//! for CI, where the dump is golden-diffed. `--out` and `--quick` belong to
+//! `repro trace` alone: given to any other experiment they exit 1 before
+//! anything runs.
 //!
 //! Any *other* experiment can be captured by setting `PACSTACK_TELEMETRY`
 //! in the environment: `PACSTACK_TELEMETRY=<dir>` enables the sink for the
 //! whole run and writes the same three artifacts to `<dir>` on exit
-//! (`PACSTACK_TELEMETRY=1` enables capture without exporting — used by the
-//! perf harness to price the instrumentation alone). Stdout is unaffected
-//! either way: enabling telemetry never changes results.
+//! (`PACSTACK_TELEMETRY=1` enables capture without exporting). Stdout is
+//! unaffected either way: enabling telemetry never changes results.
+//!
+//! Timings live in the benchmark, `perfbench/` (see `BENCHMARK.json`), not
+//! here.
 //!
 //! Add `--save <dir>` to also write each section to `<dir>/<name>.txt`
 //! (artifact-evaluation style).
@@ -51,7 +48,7 @@
 //! merge in index order. Per-experiment throughput/occupancy statistics go
 //! to stderr, never stdout, so saved tables stay reproducible.
 
-use pacstack_bench::{exec, experiments, perf, render, tracecmd};
+use pacstack_bench::{exec, experiments, render, tracecmd};
 use pacstack_telemetry as telemetry;
 use std::env;
 use std::io::Write as _;
@@ -200,7 +197,7 @@ fn main() -> ExitCode {
             quick = true;
         } else if arg == "--out" {
             let Some(path) = args.next() else {
-                eprintln!("--out needs a file path");
+                eprintln!("--out needs a directory");
                 return ExitCode::FAILURE;
             };
             out = Some(PathBuf::from(path));
@@ -209,12 +206,7 @@ fn main() -> ExitCode {
                 eprintln!("--save needs a directory");
                 return ExitCode::FAILURE;
             };
-            let dir = PathBuf::from(dir);
-            if let Err(e) = std::fs::create_dir_all(&dir) {
-                eprintln!("cannot create {}: {e}", dir.display());
-                return ExitCode::FAILURE;
-            }
-            save = Some(dir);
+            save = Some(PathBuf::from(dir));
         } else if arg == "--jobs" {
             let Some(n) = args.next().and_then(|s| s.parse::<usize>().ok()) else {
                 eprintln!("--jobs needs a non-negative integer");
@@ -223,6 +215,20 @@ fn main() -> ExitCode {
             exec::set_jobs(n);
         } else {
             experiment = arg;
+        }
+    }
+    if experiment != "trace" {
+        for (flag, given) in [("--quick", quick), ("--out", out.is_some())] {
+            if given {
+                eprintln!("{flag} applies to `repro trace` only, not to `repro {experiment}`");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    if let Some(dir) = &save {
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("cannot create {}: {e}", dir.display());
+            return ExitCode::FAILURE;
         }
     }
     let telemetry_dir = telemetry_from_env();
@@ -247,17 +253,6 @@ fn main() -> ExitCode {
         "reuse" => run_reuse(&save),
         "faults" => {
             if run_faults(&save).is_err() {
-                return ExitCode::FAILURE;
-            }
-        }
-        "perf" => {
-            if quick {
-                eprintln!("--quick applies to `repro trace` only; `repro perf` has one mode");
-                return ExitCode::FAILURE;
-            }
-            let out = out.unwrap_or_else(|| PathBuf::from("BENCH_pr18.json"));
-            if let Err(e) = perf::run(&out) {
-                eprintln!("perf harness failed: {e}");
                 return ExitCode::FAILURE;
             }
         }

@@ -14,7 +14,6 @@
 #![warn(clippy::unwrap_used, clippy::expect_used)]
 
 pub mod experiments;
-pub mod perf;
 pub mod render;
 pub mod tracecmd;
 
