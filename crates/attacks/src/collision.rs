@@ -97,6 +97,7 @@ fn drive_path(acs: &mut AuthenticatedCallStack, path: u64) -> (u64, u64) {
 }
 
 /// Unwinds a fully-driven path (inverse of [`drive_path`]).
+#[allow(clippy::expect_used, reason = "a benign unwind always verifies")]
 fn unwind_path(acs: &mut AuthenticatedCallStack) {
     for _ in 0..3 {
         acs.ret().expect("benign unwind must verify");
@@ -143,6 +144,7 @@ pub fn harvest_until_collision(
 /// across the [`pacstack_exec`] worker pool; every trial's randomness comes
 /// from its own `(experiment, index)` stream, so the result is identical at
 /// any thread count.
+#[allow(clippy::expect_used, reason = "an untampered return verifies")]
 pub fn on_graph_attack(b: u32, masking: Masking, trials: u64, seed: u64) -> MonteCarlo {
     // Pool of paths the adversary may harvest per process.
     let pool: u64 = 4 * (1u64 << (b / 2 + 2));
@@ -190,6 +192,8 @@ pub fn on_graph_attack(b: u32, masking: Masking, trials: u64, seed: u64) -> Mont
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
     use pacstack_acs::security;
 

@@ -54,6 +54,7 @@ fn tail_call_module() -> Module {
 /// # Panics
 ///
 /// Panics if the victim never reaches the pre-tail-call checkpoint.
+#[allow(clippy::expect_used, reason = "fixed victim module, see # Panics")]
 pub fn tail_call_gadget_attack(scheme: Scheme) -> AttackOutcome {
     let program = lower(&tail_call_module(), scheme);
     let mut cpu = Cpu::with_seed(program, 4242);
@@ -85,6 +86,8 @@ pub fn tail_call_gadget_attack(scheme: Scheme) -> AttackOutcome {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
     use super::*;
 
     #[test]

@@ -55,6 +55,11 @@ pub struct BruteForceResult {
 /// main's chain slot with guessed tokens aimed at the gadget, resume, and
 /// observe. Every failure crashes the process; the restart draws fresh PA
 /// keys (the §4.3 single-process setting, expected cost 2²ᵇ launches).
+///
+/// # Panics
+///
+/// Panics if the victim misses its checkpoint (harness bug).
+#[allow(clippy::expect_used, reason = "fixed victim module, see # Panics")]
 pub fn bruteforce_to_gadget(
     scheme: Scheme,
     b: u32,

@@ -85,6 +85,7 @@ pub struct ReuseResult {
 /// # Panics
 ///
 /// Panics if the victim misses its checkpoints (harness bug).
+#[allow(clippy::expect_used, reason = "fixed victim module, see # Panics")]
 pub fn run_reuse(scheme: Scheme, same_depth: bool) -> ReuseResult {
     let program = lower(&reuse_module(!same_depth), scheme);
     let mut cpu = Cpu::with_seed(program, 77);

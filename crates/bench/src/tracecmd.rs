@@ -44,10 +44,48 @@ pub struct TraceArtifacts {
 }
 
 impl TraceArtifacts {
+    fn render(summary: String, merged: &Merged) -> Self {
+        Self {
+            summary,
+            prometheus: export::prometheus(merged),
+            chrome_json: export::chrome_json(merged),
+            flame: export::flame(merged),
+        }
+    }
+
+    /// Everything the sink has recorded so far, with an empty summary: what
+    /// `repro <experiment> --out <dir>` writes on exit.
+    pub fn of_sink() -> Self {
+        Self::render(String::new(), &telemetry::snapshot())
+    }
+
     /// The exact stdout of `repro trace`: summary, then the Prometheus
     /// dump (the part CI golden-diffs).
     pub fn stdout(&self) -> String {
         format!("{}{}", self.summary, self.prometheus)
+    }
+
+    /// Writes `metrics.prom`, `trace.json` and `flamegraph.txt` to `dir`,
+    /// creating it if needed.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the directory or file that could not be
+    /// written.
+    pub fn write(&self, dir: &Path) -> Result<(), String> {
+        std::fs::create_dir_all(dir)
+            .map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+        for (name, body) in [
+            ("metrics.prom", &self.prometheus),
+            ("trace.json", &self.chrome_json),
+            ("flamegraph.txt", &self.flame),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, body)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            eprintln!("wrote {}", path.display());
+        }
+        Ok(())
     }
 }
 
@@ -116,106 +154,47 @@ fn phase_acs(quick: bool) -> u64 {
     trials
 }
 
-/// Runs the full capture scenario and returns the merged telemetry plus
-/// the per-phase summary. Enables the global sink for the duration; the
-/// sink is restored to disabled (and the store cleared) before returning.
+/// Runs the full capture scenario on a freshly reset sink and returns its
+/// artifacts. The sink goes back to its previous on/off state and the
+/// capture stays in the store, so a later [`TraceArtifacts::of_sink`]
+/// exports the same files.
 ///
 /// # Errors
 ///
 /// Propagates phase failures (chaos preparation errors).
 pub fn capture(quick: bool) -> Result<TraceArtifacts, String> {
+    let was_enabled = telemetry::enabled();
     telemetry::reset();
     telemetry::enable();
     let result = capture_phases(quick);
+    if !was_enabled {
+        telemetry::disable();
+    }
+    let mut summary = result?;
     let merged = telemetry::snapshot();
-    telemetry::disable();
-    telemetry::reset();
-    let summary = result?;
-    Ok(TraceArtifacts {
-        summary: render_summary(quick, &summary, &merged),
-        prometheus: export::prometheus(&merged),
-        chrome_json: export::chrome_json(&merged),
-        flame: export::flame(&merged),
-    })
-}
-
-/// Per-phase headline numbers for the summary block.
-struct PhaseSummary {
-    nginx_baseline_cycles: u64,
-    nginx_pacstack_cycles: u64,
-    chaos_trials: u64,
-    chaos_detected: u64,
-    acs_trials: u64,
-}
-
-fn capture_phases(quick: bool) -> Result<PhaseSummary, String> {
-    let (nginx_baseline_cycles, nginx_pacstack_cycles) = phase_workloads(quick);
-    let (chaos_trials, chaos_detected) = phase_chaos(quick)?;
-    let acs_trials = phase_acs(quick);
-    Ok(PhaseSummary {
-        nginx_baseline_cycles,
-        nginx_pacstack_cycles,
-        chaos_trials,
-        chaos_detected,
-        acs_trials,
-    })
-}
-
-fn render_summary(quick: bool, phases: &PhaseSummary, merged: &Merged) -> String {
-    let mut s = String::new();
     let _ = writeln!(
-        s,
-        "telemetry trace capture{}",
-        if quick { " (quick mode)" } else { "" }
-    );
-    let _ = writeln!(
-        s,
-        "phase workloads  nginx profiled: baseline {} cycles, pacstack {} cycles",
-        phases.nginx_baseline_cycles, phases.nginx_pacstack_cycles
-    );
-    let _ = writeln!(
-        s,
-        "phase chaos      {} injection trials, {} detected crashes",
-        phases.chaos_trials, phases.chaos_detected
-    );
-    let _ = writeln!(
-        s,
-        "phase acs        {} call-chain trials",
-        phases.acs_trials
-    );
-    let _ = writeln!(
-        s,
-        "merged           {} counters, {} histograms, {} stacks, {} spans",
+        summary,
+        "merged           {} counters, {} histograms, {} stacks, {} spans\n",
         merged.counters.len(),
         merged.histograms.len(),
         merged.stacks.len(),
         merged.spans.len()
     );
-    s.push('\n');
-    s
+    Ok(TraceArtifacts::render(summary, &merged))
 }
 
-/// Runs the capture, prints the summary + Prometheus dump to stdout and
-/// writes `metrics.prom`, `trace.json` and `flamegraph.txt` to `out_dir`.
-///
-/// # Errors
-///
-/// Propagates capture failures and I/O errors writing the artifacts.
-pub fn run(quick: bool, out_dir: &Path) -> Result<(), String> {
-    let artifacts = capture(quick)?;
-    print!("{}", artifacts.stdout());
-    std::fs::create_dir_all(out_dir)
-        .map_err(|e| format!("cannot create {}: {e}", out_dir.display()))?;
-    for (name, body) in [
-        ("metrics.prom", &artifacts.prometheus),
-        ("trace.json", &artifacts.chrome_json),
-        ("flamegraph.txt", &artifacts.flame),
-    ] {
-        let path = out_dir.join(name);
-        std::fs::write(&path, body).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        eprintln!("wrote {}", path.display());
-    }
-    Ok(())
+/// Runs the three phases and returns the summary's lines for them.
+fn capture_phases(quick: bool) -> Result<String, String> {
+    let (baseline, pacstack) = phase_workloads(quick);
+    let (trials, detected) = phase_chaos(quick)?;
+    let acs_trials = phase_acs(quick);
+    Ok(format!(
+        "telemetry trace capture{}\n\
+         phase workloads  nginx profiled: baseline {baseline} cycles, pacstack {pacstack} cycles\n\
+         phase chaos      {trials} injection trials, {detected} detected crashes\n\
+         phase acs        {acs_trials} call-chain trials\n",
+        if quick { " (quick mode)" } else { "" }
+    ))
 }
 
 #[cfg(test)]
@@ -236,8 +215,13 @@ mod tests {
         assert!(artifacts.prometheus.contains("pauth_pac_computes_total"));
         assert!(artifacts.chrome_json.contains("nginx/pacstack"));
         assert!(artifacts.flame.contains("nginx/baseline;"));
-        // The capture leaves the global sink disabled and empty.
+        // The sink is off again, and the capture stays in the store for an
+        // export at exit.
         assert!(!telemetry::enabled());
-        assert_eq!(telemetry::snapshot(), Merged::default());
+        let at_exit = TraceArtifacts::of_sink();
+        assert_eq!(at_exit.prometheus, artifacts.prometheus);
+        assert_eq!(at_exit.chrome_json, artifacts.chrome_json);
+        assert_eq!(at_exit.flame, artifacts.flame);
+        telemetry::reset();
     }
 }

@@ -63,13 +63,58 @@ impl std::fmt::Display for UnwindViolation {
 
 impl std::error::Error for UnwindViolation {}
 
+/// Where a walk down the ACS chain stands: the frame record `fp` addresses
+/// and the chain value `cr` live in that frame.
+struct ChainWalk {
+    cr: u64,
+    fp: u64,
+}
+
+/// Why [`ChainWalk::step`] could not pop a frame: its chain slot is
+/// unreadable, its record is unreadable after the link authenticated the
+/// return address `Record` holds, or the stored chain value `Link` holds
+/// failed authentication.
+enum Broken {
+    Slot,
+    Record(u64),
+    Link(u64),
+}
+
+impl ChainWalk {
+    fn start(cpu: &Cpu) -> Self {
+        let (cr, fp) = (cpu.reg(Reg::CR), cpu.reg(Reg::FP));
+        Self { cr, fp }
+    }
+
+    /// Authenticates the current frame's return address against the chain
+    /// value stored in the frame, then steps to the caller's frame.
+    fn step(&mut self, cpu: &Cpu, masking: Masking) -> Result<u64, Broken> {
+        let (pa, keys, mem) = (cpu.pa(), cpu.keys(), cpu.mem());
+        // The chain slot sits at the frame base, FP_SLOT bytes below the
+        // frame record the frame pointer addresses.
+        let slot = self.fp.wrapping_sub(frame::FP_SLOT as u64) + frame::CHAIN_SLOT as u64;
+        let prev = mem.read_u64(slot).map_err(|_| Broken::Slot)?;
+        let lr = match masking {
+            Masking::Masked => self.cr ^ pa.pac(keys, PaKey::Ia, 0, prev),
+            Masking::Unmasked => self.cr,
+        };
+        let ret = pa
+            .aut(keys, PaKey::Ia, lr, prev)
+            .map_err(|_| Broken::Link(prev))?;
+        let fp = mem.read_u64(self.fp).map_err(|_| Broken::Record(ret))?;
+        *self = Self { cr: prev, fp };
+        Ok(ret)
+    }
+}
+
 /// Walks and *verifies* the ACS chain of a PACStack-instrumented process
 /// suspended inside an instrumented function, returning the authenticated
 /// return addresses from innermost to outermost (paper §9.1).
 ///
 /// `masking` must match the scheme the binary was compiled with
 /// ([`Masking::Masked`] for full PACStack, [`Masking::Unmasked`] for
-/// PACStack-nomask).
+/// PACStack-nomask). The walk ends at a null frame pointer, an unreadable
+/// frame, or after [`MAX_FRAMES`] frames.
 ///
 /// # Errors
 ///
@@ -77,36 +122,23 @@ impl std::error::Error for UnwindViolation {}
 /// authentication — exactly the detection a validating `longjmp` or C++
 /// exception unwinder would perform before transferring control.
 pub fn validated_backtrace(cpu: &Cpu, masking: Masking) -> Result<Vec<u64>, UnwindViolation> {
-    let pa = *cpu.pa();
-    let keys = cpu.keys().clone();
+    let mut walk = ChainWalk::start(cpu);
     let mut rets = Vec::new();
-    let mut cr = cpu.reg(Reg::CR);
-    let mut fp = cpu.reg(Reg::FP);
-    while fp != 0 && rets.len() < MAX_FRAMES {
-        // The chain slot sits at the frame base, FP_SLOT bytes below the
-        // frame record the frame pointer addresses.
-        let chain_addr = fp.wrapping_sub(frame::FP_SLOT as u64);
-        let Ok(prev) = cpu.mem().read_u64(chain_addr + frame::CHAIN_SLOT as u64) else {
-            break;
-        };
-        let lr = match masking {
-            Masking::Masked => cr ^ pa.pac(&keys, PaKey::Ia, 0, prev),
-            Masking::Unmasked => cr,
-        };
-        match pa.aut(&keys, PaKey::Ia, lr, prev) {
+    while walk.fp != 0 && rets.len() < MAX_FRAMES {
+        match walk.step(cpu, masking) {
             Ok(ret) => rets.push(ret),
-            Err(_) => {
+            Err(Broken::Slot) => break,
+            Err(Broken::Record(ret)) => {
+                rets.push(ret);
+                break;
+            }
+            Err(Broken::Link(bad_link)) => {
                 return Err(UnwindViolation {
                     frame_index: rets.len(),
-                    bad_link: prev,
+                    bad_link,
                 })
             }
         }
-        cr = prev;
-        let Ok(next_fp) = cpu.mem().read_u64(fp) else {
-            break;
-        };
-        fp = next_fp;
     }
     Ok(rets)
 }
@@ -126,74 +158,46 @@ pub fn validated_backtrace(cpu: &Cpu, masking: Masking) -> Result<Vec<u64>, Unwi
 /// # Errors
 ///
 /// Returns [`UnwindViolation`] and leaves the CPU untouched if any link on
-/// the way to `target_fp` fails to verify, or if `target_fp` is not on the
-/// frame-pointer chain.
+/// the way to `target_fp` fails to verify (`bad_link` is the frame pointer
+/// of a frame that cannot be read), or if `target_fp` is not on the
+/// frame-pointer chain (`bad_link` is `target_fp`).
 pub fn unwind_to_frame(
     cpu: &mut Cpu,
     masking: Masking,
     target_fp: u64,
 ) -> Result<(), UnwindViolation> {
-    let pa = *cpu.pa();
-    let keys = cpu.keys().clone();
-
     // Dry-run first: validate every link up to the target without mutating.
-    let mut cr = cpu.reg(Reg::CR);
-    let mut fp = cpu.reg(Reg::FP);
-    let mut frames = Vec::new(); // (ret, prev_chain, fp_of_frame)
-    let mut found = fp == target_fp;
-    while fp != 0 && frames.len() < MAX_FRAMES && !found {
-        let chain_addr = fp.wrapping_sub(frame::FP_SLOT as u64);
-        let Ok(prev) = cpu.mem().read_u64(chain_addr + frame::CHAIN_SLOT as u64) else {
-            return Err(UnwindViolation {
-                frame_index: frames.len(),
-                bad_link: fp,
-            });
+    let mut walk = ChainWalk::start(cpu);
+    let mut popped = 0;
+    let mut last_ret = None;
+    while walk.fp != target_fp {
+        let violation = |bad_link| UnwindViolation {
+            frame_index: popped,
+            bad_link,
         };
-        let lr = match masking {
-            Masking::Masked => cr ^ pa.pac(&keys, PaKey::Ia, 0, prev),
-            Masking::Unmasked => cr,
-        };
-        let ret = pa
-            .aut(&keys, PaKey::Ia, lr, prev)
-            .map_err(|_| UnwindViolation {
-                frame_index: frames.len(),
-                bad_link: prev,
-            })?;
-        let Ok(next_fp) = cpu.mem().read_u64(fp) else {
-            return Err(UnwindViolation {
-                frame_index: frames.len(),
-                bad_link: fp,
-            });
-        };
-        frames.push((ret, prev, fp));
-        cr = prev;
-        fp = next_fp;
-        found = fp == target_fp;
-    }
-    if !found {
-        return Err(UnwindViolation {
-            frame_index: frames.len(),
-            bad_link: target_fp,
-        });
+        if walk.fp == 0 || popped == MAX_FRAMES {
+            return Err(violation(target_fp));
+        }
+        let fp = walk.fp;
+        last_ret = Some(walk.step(cpu, masking).map_err(|broken| match broken {
+            Broken::Link(prev) => violation(prev),
+            Broken::Slot | Broken::Record(_) => violation(fp),
+        })?);
+        popped += 1;
     }
 
     // Commit: pop the validated frames on the real state.
-    let Some(&(last_ret, last_prev, last_fp)) = frames.last() else {
+    let Some(last_ret) = last_ret else {
         return Ok(()); // already at the target frame
     };
-    cpu.set_reg(Reg::CR, last_prev);
+    cpu.set_reg(Reg::CR, walk.cr);
     cpu.set_reg(Reg::FP, target_fp);
-    // SP returns to just above the last popped frame's record area: the
-    // frame base is FP_SLOT below the record, and the frame extends
-    // frame-size bytes — the caller's SP equals the popped frame's base
-    // plus its size, which the record's position encodes for our fixed
-    // layouts: frame base = last_fp - FP_SLOT; caller SP = base + size.
-    // The lowering's epilogues compute this via their immediates; the
-    // runtime recovers it from the *target* frame's own base instead:
+    // SP returns to the target frame's base, FP_SLOT below its record. The
+    // lowering's epilogues compute the caller's SP from their immediates;
+    // the runtime recovers it from the target frame's own base instead.
     let target_base = target_fp - frame::FP_SLOT as u64;
     cpu.set_reg(Reg::Sp, target_base);
     cpu.set_pc(last_ret);
-    let _ = last_fp;
     Ok(())
 }
 
