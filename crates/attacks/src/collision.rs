@@ -8,10 +8,10 @@
 //! always verifies. Masking hides which spills collide, forcing a blind
 //! guess that succeeds with probability 2⁻ᵇ.
 
-use crate::layout_with_pac_bits;
-use pacstack_acs::{AcsConfig, AuthenticatedCallStack, Masking};
+use crate::acs_for;
+use pacstack_acs::{AuthenticatedCallStack, Masking};
 use pacstack_exec as exec;
-use pacstack_pauth::{PaKeys, PointerAuth};
+use pacstack_pauth::PaKeys;
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -75,14 +75,9 @@ pub struct Harvest {
     pub tokens: u64,
     /// The two path indices whose spilled tokens matched.
     pub pair: (u64, u64),
-}
-
-fn acs_for(b: u32, masking: Masking, seed: u64) -> AuthenticatedCallStack {
-    AuthenticatedCallStack::new(
-        PointerAuth::new(layout_with_pac_bits(b)),
-        PaKeys::from_seed(seed),
-        AcsConfig::default().masking(masking),
-    )
+    /// The chain head `h` that path `pair.1` leaves on the stack: the value
+    /// the unmasked attack substitutes into path `pair.0`.
+    pub head: u64,
 }
 
 /// Drives path `i` up to the point where `C`'s token is spilled, returning
@@ -96,14 +91,6 @@ fn drive_path(acs: &mut AuthenticatedCallStack, path: u64) -> (u64, u64) {
     (h, spilled)
 }
 
-/// Unwinds a fully-driven path (inverse of [`drive_path`]).
-#[allow(clippy::expect_used, reason = "a benign unwind always verifies")]
-fn unwind_path(acs: &mut AuthenticatedCallStack) {
-    for _ in 0..3 {
-        acs.ret().expect("benign unwind must verify");
-    }
-}
-
 /// Harvests spilled tokens over distinct paths until two collide, as the
 /// §6.2.1 adversary does against the *unmasked* scheme.
 ///
@@ -114,16 +101,26 @@ pub fn harvest_until_collision(
     seed: u64,
     budget: u64,
 ) -> Option<Harvest> {
-    let mut acs = acs_for(b, masking, seed);
+    harvest(&acs_for(b, masking, PaKeys::from_seed(seed)), budget)
+}
+
+/// [`harvest_until_collision`] in the process whose empty chain is `root`.
+///
+/// The adversary observes only the spilled tokens, so each path starts from
+/// a restored copy of `root` rather than from a benign unwind of the last
+/// path: both leave the same chain register and stack.
+fn harvest(root: &AuthenticatedCallStack, budget: u64) -> Option<Harvest> {
+    let mut acs = root.clone();
     let mut seen: HashMap<u64, (u64, u64)> = HashMap::new();
     for path in 0..budget {
+        acs.clone_from(root);
         let (h, spilled) = drive_path(&mut acs, path);
-        unwind_path(&mut acs);
         if let Some(&(prev_path, prev_h)) = seen.get(&spilled) {
             if prev_h != h {
                 return Some(Harvest {
                     tokens: path + 1,
                     pair: (prev_path, path),
+                    head: h,
                 });
             }
         } else {
@@ -140,51 +137,32 @@ pub fn harvest_until_collision(
 /// * **Masked**: collisions are invisible; the adversary substitutes the
 ///   chain head of a random other path and hopes (2⁻ᵇ).
 ///
-/// Each trial uses a fresh key (a fresh victim process). Trials fan out
-/// across the [`pacstack_exec`] worker pool; every trial's randomness comes
-/// from its own `(experiment, index)` stream, so the result is identical at
-/// any thread count.
+/// Each trial uses a fresh key (a fresh victim process), generated once:
+/// the harvest and the replay run on copies of the process's empty chain.
+/// Trials fan out across the [`pacstack_exec`] worker pool; every trial's
+/// randomness comes from its own `(experiment, index)` stream, so the
+/// result is identical at any thread count.
 #[allow(clippy::expect_used, reason = "an untampered return verifies")]
 pub fn on_graph_attack(b: u32, masking: Masking, trials: u64, seed: u64) -> MonteCarlo {
     // Pool of paths the adversary may harvest per process.
     let pool: u64 = 4 * (1u64 << (b / 2 + 2));
 
     let (successes, stats) = exec::count_trials(seed ^ STREAM_ON_GRAPH, trials, |trial, rng| {
-        let process_seed = rng.gen();
-        match masking {
-            Masking::Unmasked => {
-                if let Some(harvest) = harvest_until_collision(b, masking, process_seed, pool) {
-                    // Replay the first colliding path, substitute the second's
-                    // chain head, and return through C.
-                    let mut acs = acs_for(b, masking, process_seed);
-                    let (_, _) = drive_path(&mut acs, harvest.pair.0);
-                    let (h_other, _) = {
-                        // Recompute the other path's chain head without
-                        // disturbing the live chain.
-                        let mut probe = acs_for(b, masking, process_seed);
-                        let (h, _) = drive_path(&mut probe, harvest.pair.1);
-                        (h, ())
-                    };
-                    acs.ret().expect("loader returns cleanly");
-                    acs.frames_mut()[1].stored_chain = h_other;
-                    acs.ret().is_ok()
-                } else {
-                    false
-                }
-            }
-            Masking::Masked => {
-                let mut acs = acs_for(b, masking, process_seed);
-                // Harvest a victim path and one decoy path the adversary
-                // hopes collides.
-                let decoy = trial % 16 + 1;
-                let mut probe = acs_for(b, masking, process_seed);
-                let (h_decoy, _) = drive_path(&mut probe, 1000 + decoy);
-                drive_path(&mut acs, 0);
-                acs.ret().expect("loader returns cleanly");
-                acs.frames_mut()[1].stored_chain = h_decoy;
-                acs.ret().is_ok()
-            }
-        }
+        let mut acs = acs_for(b, masking, PaKeys::from_seed(rng.gen()));
+        // The victim path to replay and the chain head substituted into it.
+        let (victim, head) = match masking {
+            // The second colliding path's head, for the first.
+            Masking::Unmasked => match harvest(&acs, pool) {
+                Some(harvest) => (harvest.pair.0, harvest.head),
+                None => return false,
+            },
+            // A decoy path's head the adversary hopes collides with path 0.
+            Masking::Masked => (0, drive_path(&mut acs.clone(), 1000 + trial % 16 + 1).0),
+        };
+        drive_path(&mut acs, victim);
+        acs.ret().expect("loader returns cleanly");
+        acs.frames_mut()[1].stored_chain = head;
+        acs.ret().is_ok()
     });
     exec::stats::record(format!("on-graph b={b} {masking}"), stats);
     MonteCarlo { trials, successes }
@@ -251,21 +229,54 @@ mod tests {
         // Even when unmasked tokens collide, the masked spills differ.
         let b = 6;
         let harvest = harvest_until_collision(b, Masking::Unmasked, 5, 10_000).unwrap();
-        let mut unmasked = acs_for(b, Masking::Unmasked, 5);
-        let mut masked = acs_for(b, Masking::Masked, 5);
-        let (_, spill_a_unmasked) = drive_path(&mut unmasked, harvest.pair.0);
-        let (_, spill_a_masked) = drive_path(&mut masked, harvest.pair.0);
-        unwind_path(&mut unmasked);
-        unwind_path(&mut masked);
-        let (_, spill_b_unmasked) = drive_path(&mut unmasked, harvest.pair.1);
-        let (_, spill_b_masked) = drive_path(&mut masked, harvest.pair.1);
+        let unmasked = acs_for(b, Masking::Unmasked, PaKeys::from_seed(5));
+        let masked = acs_for(b, Masking::Masked, PaKeys::from_seed(5));
+        let spill = |root: &AuthenticatedCallStack, path| drive_path(&mut root.clone(), path).1;
+        let (first, second) = harvest.pair;
         assert_eq!(
-            spill_a_unmasked, spill_b_unmasked,
+            spill(&unmasked, first),
+            spill(&unmasked, second),
             "harvest said these collide"
         );
         assert_ne!(
-            spill_a_masked, spill_b_masked,
+            spill(&masked, first),
+            spill(&masked, second),
             "masking failed to hide the collision"
         );
+    }
+
+    #[test]
+    fn restoring_the_root_equals_the_benign_unwind() {
+        let (b, budget) = (6, 10_000);
+        for seed in 0..6 {
+            for masking in [Masking::Unmasked, Masking::Masked] {
+                let paths = harvest_until_collision(b, masking, seed, budget)
+                    .map_or(budget, |harvest| harvest.tokens);
+                let root = acs_for(b, masking, PaKeys::from_seed(seed));
+                let mut unwound = root.clone();
+                let mut restored = root.clone();
+                for path in 0..paths {
+                    let observed = drive_path(&mut unwound, path);
+                    assert_eq!(drive_path(&mut restored, path), observed);
+                    for _ in 0..3 {
+                        unwound.ret().expect("benign unwind must verify");
+                    }
+                    restored.clone_from(&root);
+                    assert_eq!(restored.chain_register(), unwound.chain_register());
+                    assert_eq!(restored.depth(), unwound.depth());
+                    assert_eq!(restored.frames(), unwound.frames());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn harvest_reports_the_chain_head_of_the_second_path() {
+        let b = 6;
+        for seed in 0..6 {
+            let harvest = harvest_until_collision(b, Masking::Unmasked, seed, 10_000).unwrap();
+            let mut acs = acs_for(b, Masking::Unmasked, PaKeys::from_seed(seed));
+            assert_eq!(drive_path(&mut acs, harvest.pair.1).0, harvest.head);
+        }
     }
 }

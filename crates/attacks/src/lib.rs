@@ -31,7 +31,8 @@ pub mod online;
 pub mod reuse;
 pub mod rop;
 
-use pacstack_pauth::VaLayout;
+use pacstack_acs::{AcsConfig, AuthenticatedCallStack, Masking};
+use pacstack_pauth::{PaKeys, PointerAuth, VaLayout};
 
 /// Returns a [`VaLayout`] whose PAC field is exactly `b` bits wide, used to
 /// scale Monte Carlo experiments.
@@ -53,6 +54,15 @@ pub fn layout_with_pac_bits(b: u32) -> VaLayout {
     assert!((3..=19).contains(&b), "b must be within 3..=19, got {b}");
     // Tagged layouts give pac_bits = 55 - va_size.
     VaLayout::new(55 - b, true)
+}
+
+/// An empty chain of one victim process: `b`-bit PACs, `masking`, `keys`.
+fn acs_for(b: u32, masking: Masking, keys: PaKeys) -> AuthenticatedCallStack {
+    AuthenticatedCallStack::new(
+        PointerAuth::new(layout_with_pac_bits(b)),
+        keys,
+        AcsConfig::default().masking(masking),
+    )
 }
 
 #[cfg(test)]

@@ -12,10 +12,10 @@
 //!   Both the load (2⁻ᵇ) and the jump (2⁻ᵇ) must pass: 2⁻²ᵇ overall.
 
 use crate::collision::MonteCarlo;
-use crate::layout_with_pac_bits;
-use pacstack_acs::{AcsConfig, AuthenticatedCallStack, Masking};
+use crate::{acs_for, layout_with_pac_bits};
+use pacstack_acs::Masking;
 use pacstack_exec as exec;
-use pacstack_pauth::{PaKeys, PointerAuth};
+use pacstack_pauth::PaKeys;
 use rand::Rng;
 
 /// RNG-stream tag for [`to_call_site`] trials.
@@ -29,14 +29,6 @@ const RET_C: u64 = 0x40_0300;
 const RET_B: u64 = 0x40_0400;
 /// An address that has never been a return address in the program.
 const RET_EVIL: u64 = 0x43_0000;
-
-fn acs_for(b: u32, masking: Masking, keys: PaKeys) -> AuthenticatedCallStack {
-    AuthenticatedCallStack::new(
-        PointerAuth::new(layout_with_pac_bits(b)),
-        keys,
-        AcsConfig::default().masking(masking),
-    )
-}
 
 /// Row 2: off-graph violation targeting a valid call-site return address.
 ///

@@ -184,18 +184,6 @@ pub fn coverage(
     Ok(report)
 }
 
-/// Convenience wrapper: run [`coverage`] against [`chaos_module`].
-///
-/// # Errors
-///
-/// Propagates [`ChaosError`] from [`coverage`].
-pub fn coverage_default(
-    trials_per_class: u64,
-    seed: u64,
-) -> Result<Vec<TargetCoverage>, ChaosError> {
-    coverage(&chaos_module(), trials_per_class, seed)
-}
-
 /// Prepares every target for `module`, for callers that drive trials
 /// themselves (property tests).
 ///

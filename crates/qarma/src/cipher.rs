@@ -3,12 +3,11 @@
 //!
 //! [`Qarma64::with_key`] builds the four-word encryption schedule eagerly
 //! (see the `schedule` module), and [`Qarma64::encrypt`] runs the fast path
-//! over it; [`Qarma64::decrypt`] builds the four-word decryption schedule
-//! per call (no hot path decrypts); [`Qarma64::encrypt_pair`] runs two
-//! blocks under one tweak through the same kernel in one pass. Both data
-//! paths form the round tweakeys from the core key and the round constants
-//! themselves. The original cell-based data path survives as
-//! [`Qarma64::encrypt_reference`]/[`Qarma64::decrypt_reference`] (see the
+//! over it; [`Qarma64::encrypt_pair`] runs two blocks under one tweak
+//! through the same kernel in one pass. Both data paths form the round
+//! tweakeys from the core key and the round constants themselves. There is
+//! no decryption: pointer authentication only ever encrypts. The original
+//! cell-based data path survives as [`Qarma64::encrypt_reference`] (see the
 //! [`crate::reference`] module) and the two are pinned against each other
 //! by a differential proptest suite.
 
@@ -82,13 +81,12 @@ impl fmt::Display for Sigma {
 
 /// A QARMA-64 instance: a 128-bit key, an S-box choice and `r` forward rounds.
 ///
-/// Construction derives the encryption-direction key schedule, four words
+/// Construction derives the encryption key schedule, four words
 /// (`w0`, `w1`, the core key and the τ⁻¹-permuted reflector key), and the
 /// data path forms every round tweakey from them with one XOR, so `encrypt`
 /// touches no key-derivation code. The schedule is cheap enough to build
 /// for every key: the instance is 48 bytes and holds no other copy of the
-/// key. `decrypt` derives the decryption schedule on every call: pointer
-/// authentication only ever encrypts.
+/// key.
 ///
 /// The paper's recommended parameterisations are `r = 5` with σ0, `r = 7`
 /// with σ1, and `r = 11` with σ2. [`Qarma64::recommended`] builds the σ1/r=7
@@ -101,14 +99,15 @@ impl fmt::Display for Sigma {
 ///
 /// let cipher = Qarma64::with_key(Key128::new(0x1234, 0x5678), Sigma::Sigma1, 7);
 /// let c = cipher.encrypt(0xdead_beef, 42);
-/// assert_eq!(cipher.decrypt(c, 42), 0xdead_beef);
+/// assert_eq!(c, cipher.encrypt_reference(0xdead_beef, 42));
+/// assert_ne!(c, cipher.encrypt(0xdead_beef, 43)); // the tweak matters
 /// ```
 // The schedule is an injective function of the key (it keeps `w0` and `k0`
 // verbatim), so the derived comparison and hash decide identity by
 // (key, sigma, rounds).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Qarma64 {
-    /// Encryption-direction key material; also the key itself.
+    /// Encryption key material; also the key itself.
     schedule: DirSchedule,
     rounds: usize,
     sigma: Sigma,
@@ -163,9 +162,9 @@ impl Qarma64 {
         self.rounds
     }
 
-    /// The shared packed data path: whitened forward rounds, central
-    /// reflector, backward rounds, over one direction's schedule, for `N`
-    /// blocks under one tweak. Round `i`'s tweakey, `k ⊕ c_i ⊕ t_i` forward
+    /// The packed data path: whitened forward rounds, central reflector,
+    /// backward rounds, over the schedule `ks`, for `N` blocks under one
+    /// tweak. Round `i`'s tweakey, `k ⊕ c_i ⊕ t_i` forward
     /// and `k ⊕ c_i ⊕ α ⊕ t_i` backward, is formed while the tweak schedule
     /// runs (the backward rounds consume the same tweaks in reverse), so
     /// each round adds one ready word to the state, and no `[u8; 16]` cell
@@ -275,28 +274,10 @@ impl Qarma64 {
         (ca, cb)
     }
 
-    /// Decrypts one 64-bit block under the given 64-bit tweak.
-    ///
-    /// QARMA's reflector structure makes decryption the same circuit as
-    /// encryption under a transformed key schedule: the whitening keys swap
-    /// roles, α is folded into the core key, and the reflector is keyed
-    /// with `Q·k0`. That schedule is derived on every call, so decrypting in
-    /// bulk costs a key derivation per block.
-    pub fn decrypt(&self, ciphertext: u64, tweak: u64) -> u64 {
-        let [p] = self.crypt([ciphertext], tweak, &DirSchedule::decrypt(self.key()));
-        p
-    }
-
     /// Encrypts through the cell-based reference path (the differential
     /// oracle; see [`crate::reference`]).
     pub fn encrypt_reference(&self, plaintext: u64, tweak: u64) -> u64 {
         reference::encrypt(self.key(), self.sigma, self.rounds, plaintext, tweak)
-    }
-
-    /// Decrypts through the cell-based reference path (the differential
-    /// oracle; see [`crate::reference`]).
-    pub fn decrypt_reference(&self, ciphertext: u64, tweak: u64) -> u64 {
-        reference::decrypt(self.key(), self.sigma, self.rounds, ciphertext, tweak)
     }
 }
 
@@ -319,7 +300,8 @@ mod tests {
     fn regression_vector_sigma1_r7() {
         // Computed by this implementation, cross-validated through the
         // published σ0/r=5 vector (which pins the whole data path) and the
-        // encrypt/decrypt inverse property. Guards against regressions.
+        // differential against the cell reference. Guards against
+        // regressions.
         let cipher = Qarma64::new(W0, K0, Sigma::Sigma1, 7);
         assert_eq!(cipher.encrypt(PLAINTEXT, TWEAK), 0xedf67ff370a483f2);
     }
@@ -330,24 +312,7 @@ mod tests {
         // check value, cross-validating the non-involutory σ2 path; see
         // tests/reference_vectors.rs for the full pin table.
         let cipher = Qarma64::new(W0, K0, Sigma::Sigma2, 7);
-        let c = cipher.encrypt(PLAINTEXT, TWEAK);
-        assert_eq!(c, 0x5c06a7501b63b2fd);
-        assert_eq!(cipher.decrypt(c, TWEAK), PLAINTEXT);
-    }
-
-    #[test]
-    fn decrypt_inverts_encrypt_on_vectors() {
-        for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
-            for rounds in 1..=8 {
-                let cipher = Qarma64::new(W0, K0, sigma, rounds);
-                let c = cipher.encrypt(PLAINTEXT, TWEAK);
-                assert_eq!(
-                    cipher.decrypt(c, TWEAK),
-                    PLAINTEXT,
-                    "round-trip failed for {sigma} r={rounds}"
-                );
-            }
-        }
+        assert_eq!(cipher.encrypt(PLAINTEXT, TWEAK), 0x5c06a7501b63b2fd);
     }
 
     #[test]
@@ -355,16 +320,10 @@ mod tests {
         for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
             for rounds in 1..=8 {
                 let cipher = Qarma64::new(W0, K0, sigma, rounds);
-                let c = cipher.encrypt(PLAINTEXT, TWEAK);
                 assert_eq!(
-                    c,
+                    cipher.encrypt(PLAINTEXT, TWEAK),
                     cipher.encrypt_reference(PLAINTEXT, TWEAK),
                     "encrypt diverged for {sigma} r={rounds}"
-                );
-                assert_eq!(
-                    cipher.decrypt(c, TWEAK),
-                    cipher.decrypt_reference(c, TWEAK),
-                    "decrypt diverged for {sigma} r={rounds}"
                 );
             }
         }
@@ -378,19 +337,13 @@ mod tests {
         for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
             for rounds in 1..=8 {
                 let cipher = Qarma64::new(W0, K0, sigma, rounds);
-                let dec = DirSchedule::decrypt(cipher.key());
                 for i in 0..16u64 {
                     let p = PLAINTEXT.wrapping_mul(i | 1);
                     let t = TWEAK.wrapping_add(i);
                     assert_eq!(
                         cipher.crypt_packed([p], t, &cipher.schedule),
                         [cipher.encrypt(p, t)],
-                        "enc SWAR diverged for {sigma} r={rounds} i={i}"
-                    );
-                    assert_eq!(
-                        cipher.crypt_packed([p], t, &dec),
-                        [cipher.decrypt(p, t)],
-                        "dec SWAR diverged for {sigma} r={rounds} i={i}"
+                        "SWAR diverged for {sigma} r={rounds} i={i}"
                     );
                 }
             }

@@ -1,4 +1,4 @@
-//! The QARMA-64 key schedule: four words per direction.
+//! The QARMA-64 encryption key schedule: four words.
 //!
 //! The reference data path re-derives `w1`, the per-round tweakeys and the
 //! reflector key on every call. Only four words of that material cannot be
@@ -7,11 +7,10 @@
 //! the data paths form each round tweakey themselves, `k ⊕ c_i` forward and
 //! `k ⊕ c_i ⊕ α` backward, one XOR that is off the state's dependency chain.
 //! Deriving the four words is a handful of ALU operations, so
-//! `Qarma64::with_key` builds the encryption schedule eagerly and
-//! `Qarma64::decrypt` builds the decryption schedule per call.
+//! `Qarma64::with_key` builds the schedule eagerly. Pointer authentication
+//! only encrypts, so there is no decryption schedule.
 
-use crate::constants::ALPHA;
-use crate::packed::{tau_inv, tinv_m};
+use crate::packed::tau_inv;
 use crate::Key128;
 
 /// The derived whitening key `w1 = (w0 >>> 1) ⊕ (w0 >> 63)`.
@@ -19,20 +18,16 @@ fn w1_of(w0: u64) -> u64 {
     w0.rotate_right(1) ^ (w0 >> 63)
 }
 
-/// Key material for one direction of the shared data path.
-///
-/// QARMA's reflector structure makes decryption the same circuit as
-/// encryption under a transformed key schedule, so one `DirSchedule` fully
-/// describes either direction.
+/// Key material of the encryption data path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub(crate) struct DirSchedule {
-    /// Whitening XORed into the input block (`w0` when encrypting).
+    /// Whitening XORed into the input block, `w0`.
     pub w_in: u64,
-    /// Whitening XORed into the output block (`w1` when encrypting); also
-    /// the tweakey core of the extra forward round before the reflector.
+    /// Whitening XORed into the output block, `w1`; also the tweakey core
+    /// of the extra forward round before the reflector.
     pub w_out: u64,
-    /// The core key (`k0` when encrypting, `k0 ⊕ α` when decrypting); round
-    /// `i` adds `k ⊕ c_i` forward and `k ⊕ c_i ⊕ α` backward.
+    /// The core key `k0`; round `i` adds `k ⊕ c_i` forward and
+    /// `k ⊕ c_i ⊕ α` backward.
     pub k: u64,
     /// The reflector key, pre-permuted by τ⁻¹, so the reflector centre
     /// collapses to one fused linear layer and one XOR.
@@ -40,7 +35,7 @@ pub(crate) struct DirSchedule {
 }
 
 impl DirSchedule {
-    /// The encryption-direction schedule of `key`.
+    /// The encryption schedule of `key`.
     pub fn encrypt(key: Key128) -> Self {
         let (w0, k0) = (key.w0(), key.k0());
         Self {
@@ -51,20 +46,7 @@ impl DirSchedule {
         }
     }
 
-    /// The decryption-direction schedule of `key`: whitening keys swapped,
-    /// α folded into the core key, reflector keyed with `Q·k0` (so its
-    /// τ⁻¹-permuted form is `τ⁻¹(M·k0)`).
-    pub fn decrypt(key: Key128) -> Self {
-        let (w0, k0) = (key.w0(), key.k0());
-        Self {
-            w_in: w1_of(w0),
-            w_out: w0,
-            k: k0 ^ ALPHA,
-            reflect_key: tinv_m(k0),
-        }
-    }
-
-    /// The key an encryption-direction schedule was built from.
+    /// The key the schedule was built from.
     pub fn key(&self) -> Key128 {
         Key128::new(self.w_in, self.k)
     }
@@ -73,7 +55,7 @@ impl DirSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cells::{from_cells, mix_columns, permute, to_cells};
+    use crate::cells::{from_cells, permute, to_cells};
     use crate::constants::TAU_INV;
     use rand::{Rng, SeedableRng};
 
@@ -89,7 +71,6 @@ mod tests {
             let key = Key128::new(rng.gen(), rng.gen());
             let (w0, k0) = (key.w0(), key.k0());
             let w1 = w0.rotate_right(1) ^ (w0 >> 63);
-            let q_k0 = from_cells(&mix_columns(&to_cells(k0)));
             assert_eq!(
                 DirSchedule::encrypt(key),
                 DirSchedule {
@@ -99,16 +80,6 @@ mod tests {
                     reflect_key: tau_inv_cells(k0),
                 },
                 "encryption schedule of {key:?}"
-            );
-            assert_eq!(
-                DirSchedule::decrypt(key),
-                DirSchedule {
-                    w_in: w1,
-                    w_out: w0,
-                    k: k0 ^ ALPHA,
-                    reflect_key: tau_inv_cells(q_k0),
-                },
-                "decryption schedule of {key:?}"
             );
             assert_eq!(DirSchedule::encrypt(key).key(), key);
         }

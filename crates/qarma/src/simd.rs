@@ -373,7 +373,7 @@ mod tests {
             return;
         }
         let key = Key128::new(0x84be85ce9804e94b, 0xec2802d4e0a488e9);
-        let (enc, dec) = (DirSchedule::encrypt(key), DirSchedule::decrypt(key));
+        let enc = DirSchedule::encrypt(key);
         for sigma in [Sigma::Sigma0, Sigma::Sigma1, Sigma::Sigma2] {
             for rounds in 1..=8 {
                 for (i, x) in samples().enumerate() {
@@ -382,11 +382,6 @@ mod tests {
                         crypt([x], tweak, &enc, sigma, rounds),
                         [reference::encrypt(key, sigma, rounds, x, tweak)],
                         "encrypt diverged for {sigma} r={rounds} x={x:#018x}"
-                    );
-                    assert_eq!(
-                        crypt([x], tweak, &dec, sigma, rounds),
-                        [reference::decrypt(key, sigma, rounds, x, tweak)],
-                        "decrypt diverged for {sigma} r={rounds} x={x:#018x}"
                     );
                 }
             }

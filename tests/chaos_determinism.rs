@@ -5,7 +5,7 @@
 //! `repro faults` section — must be **byte-identical at any `--jobs`
 //! count** and stable across repeated same-seed invocations.
 
-use pacstack::chaos::campaign::{self, CellCounts};
+use pacstack::chaos::campaign::{self, chaos_module, CellCounts};
 use pacstack::chaos::FaultClass;
 use pacstack_bench::{exec, experiments, render};
 use std::sync::Mutex;
@@ -60,7 +60,7 @@ fn rendered_faults_section_is_identical_across_job_counts() {
 #[test]
 fn coverage_cells_are_identical_across_job_counts() {
     let matrix = || {
-        let report = campaign::coverage_default(3, 0xC0DE).expect("campaign prepares");
+        let report = campaign::coverage(&chaos_module(), 3, 0xC0DE).expect("campaign prepares");
         report
             .iter()
             .map(|t| {
