@@ -54,8 +54,10 @@ pub enum Perms {
 /// cloned.
 const PAGE: usize = 4096;
 
-/// One mapping, stored as 4 KiB pages. A page that was never written is
-/// `None` and reads as zero; the first write allocates it.
+/// One mapping, stored as 4 KiB pages. Only the span of pages from the
+/// lowest to the highest ever written is held: a page outside it, or a
+/// `None` inside it, was never written and reads as zero. The first write
+/// to a page allocates it, growing the span if the page lies outside.
 #[derive(Debug, Clone)]
 struct Segment {
     base: u64,
@@ -68,16 +70,45 @@ struct Segment {
     /// As `fast_loads`, for [`Memory::write_u64`]: also none unless the
     /// segment is writable.
     fast_stores: u64,
+    /// The segment page index of `pages[0]`.
+    first: usize,
+    /// `pages[i]` is segment page `first + i`.
     pages: Vec<Option<Box<[u8; PAGE]>>>,
 }
 
 impl Segment {
+    /// Whether `addr..addr + len` lies wholly inside the segment, compared
+    /// as offsets so that a segment ending at 2⁶⁴ overflows nothing.
     fn contains(&self, addr: u64, len: u64) -> bool {
-        addr >= self.base && addr.saturating_add(len) <= self.base + self.len
+        self.len
+            .checked_sub(len)
+            .is_some_and(|room| addr.wrapping_sub(self.base) <= room)
     }
 
+    /// Segment page `index`, if it was ever written. A page below the span
+    /// wraps to an index past its end.
+    #[inline]
+    fn page(&self, index: usize) -> Option<&[u8; PAGE]> {
+        self.pages.get(index.wrapping_sub(self.first))?.as_deref()
+    }
+
+    /// Segment page `index` for writing, allocated on its first write after
+    /// growing the span to hold it. A page below `first` is how a stack
+    /// grows.
+    #[cold]
     fn page_mut(&mut self, index: usize) -> &mut [u8; PAGE] {
-        self.pages[index].get_or_insert_with(|| Box::new([0; PAGE]))
+        if self.pages.is_empty() {
+            self.first = index;
+        } else if index < self.first {
+            let below = self.first - index;
+            self.pages.splice(0..0, std::iter::repeat_n(None, below));
+            self.first = index;
+        }
+        let at = index - self.first;
+        if at >= self.pages.len() {
+            self.pages.resize(at + 1, None);
+        }
+        self.pages[at].get_or_insert_with(|| Box::new([0; PAGE]))
     }
 
     /// Reads 8 bytes at segment offset `off`: one load inside a page.
@@ -87,7 +118,7 @@ impl Segment {
         if at > PAGE - 8 {
             return self.read_u64_straddling(off);
         }
-        match &self.pages[off / PAGE] {
+        match self.page(off / PAGE) {
             Some(page) => {
                 let mut buf = [0u8; 8];
                 buf.copy_from_slice(&page[at..at + 8]);
@@ -103,9 +134,7 @@ impl Segment {
         let mut buf = [0u8; 8];
         for (i, b) in buf.iter_mut().enumerate() {
             let o = off + i;
-            *b = self.pages[o / PAGE]
-                .as_ref()
-                .map_or(0, |page| page[o % PAGE]);
+            *b = self.page(o / PAGE).map_or(0, |page| page[o % PAGE]);
         }
         u64::from_le_bytes(buf)
     }
@@ -117,7 +146,11 @@ impl Segment {
         if at > PAGE - 8 {
             return self.write_u64_straddling(off, value);
         }
-        self.page_mut(off / PAGE)[at..at + 8].copy_from_slice(&value.to_le_bytes());
+        let page = match self.pages.get_mut((off / PAGE).wrapping_sub(self.first)) {
+            Some(Some(page)) => page,
+            _ => self.page_mut(off / PAGE),
+        };
+        page[at..at + 8].copy_from_slice(&value.to_le_bytes());
     }
 
     /// [`Segment::write_u64`] across a page boundary, byte by byte.
@@ -137,7 +170,9 @@ impl Segment {
 /// that converts a failed `aut*` into a crash).
 ///
 /// Each segment is stored as 4 KiB pages, and a page that was never
-/// written reads as zero and takes no space; cloning copies only the
+/// written reads as zero and takes no space. A segment holds only the span
+/// from its lowest to its highest written page, so cloning or dropping a
+/// `Memory` costs O(written span), not O(mapped size), and copies only the
 /// written pages.
 ///
 /// Every access first tries the segment the last write went to, then
@@ -200,8 +235,13 @@ impl Memory {
     ///
     /// # Panics
     ///
-    /// Panics if the segment would overlap an existing mapping.
+    /// Panics if the segment would overlap an existing mapping or run past
+    /// the top of the address space (it may end at 2⁶⁴).
     pub fn map(&mut self, base: u64, size: u64, perms: Perms) {
+        assert!(
+            u128::from(base) + u128::from(size) <= 1 << 64,
+            "segment {base:#x}+{size:#x} runs past the top of the address space"
+        );
         assert!(
             !self.overlaps(base, size),
             "segment {base:#x}+{size:#x} overlaps existing mapping"
@@ -225,16 +265,19 @@ impl Memory {
             } else {
                 0
             },
-            pages: vec![None; (size as usize).div_ceil(PAGE)],
+            first: 0,
+            pages: Vec::new(),
         });
     }
 
     /// Whether `base..base + size` overlaps an existing mapping, i.e.
-    /// whether [`Memory::map`] would panic.
+    /// whether [`Memory::map`] would panic. The ends are computed in
+    /// `u128`, so a range ending at 2⁶⁴ overflows nothing.
     pub fn overlaps(&self, base: u64, size: u64) -> bool {
-        self.segments
-            .iter()
-            .any(|seg| base < seg.base + seg.len && seg.base < base + size)
+        let end = |base: u64, size: u64| u128::from(base) + u128::from(size);
+        self.segments.iter().any(|seg| {
+            u128::from(base) < end(seg.base, seg.len) && u128::from(seg.base) < end(base, size)
+        })
     }
 
     /// The pointer layout used for canonicality checks.
@@ -350,7 +393,7 @@ impl Memory {
             Ok(seg) if seg.perms == Perms::ReadExecute => seg,
             _ => return 0,
         };
-        let len = len.min(seg.base + seg.len - 3 - base);
+        let len = len.min(seg.len - 3 - (base - seg.base));
         let canonical = |addr| self.layout.is_canonical(addr);
         if len > 0 && canonical(base) && canonical(base + len - 1) {
             len
@@ -375,7 +418,7 @@ impl fmt::Display for Memory {
                 f,
                 "{:#010x}..{:#010x} {}",
                 seg.base,
-                seg.base + seg.len,
+                u128::from(seg.base) + u128::from(seg.len),
                 match seg.perms {
                     Perms::ReadExecute => "r-x",
                     Perms::ReadWrite => "rw-",
@@ -463,6 +506,11 @@ mod tests {
         mem.map(top - 0x1000, 0x2000, Perms::ReadExecute);
         assert_eq!(mem.executable_from(top - 0x1000, 0x800), 0x800);
         assert_eq!(mem.executable_from(top - 0x1000, 0x2000), 0);
+        // A segment that ends at 2⁶⁴.
+        let last = 0u64.wrapping_sub(0x1000);
+        mem.map(last, 0x1000, Perms::ReadExecute);
+        assert_eq!(mem.executable_from(last, 0x2000), 0x1000 - 3);
+        assert_eq!(mem.executable_from(u64::MAX - 3, 4), 1);
     }
 
     #[test]
@@ -477,6 +525,83 @@ mod tests {
     fn overlapping_map_panics() {
         let mut mem = Memory::with_standard_layout();
         mem.map(LAYOUT.code_base + 0x1000, 0x1000, Perms::ReadWrite);
+    }
+
+    #[test]
+    fn segment_ending_at_the_top_of_the_address_space() {
+        let mut mem = Memory::new(VaLayout::default());
+        let base = 0u64.wrapping_sub(0x2000);
+        mem.map(base, 0x2000, Perms::ReadWrite);
+        // The last slot, and a slot in the last page.
+        mem.write_u64(u64::MAX - 7, 0x0123_4567_89ab_cdef).unwrap();
+        assert_eq!(mem.read_u64(u64::MAX - 7).unwrap(), 0x0123_4567_89ab_cdef);
+        assert_eq!(mem.read_u64(base + 0x1000).unwrap(), 0);
+        assert!(mem.is_writable(u64::MAX - 0x1FFF + 0x1000));
+        assert!(mem.is_writable(u64::MAX - 7));
+        // Accesses running past 2⁶⁴ fault rather than wrap.
+        assert!(!mem.is_writable(u64::MAX - 3));
+        assert_eq!(
+            mem.read_u64(u64::MAX - 3),
+            Err(Fault::AccessFault { addr: u64::MAX - 3 })
+        );
+        assert_eq!(
+            mem.write_u64(u64::MAX, 1),
+            Err(Fault::AccessFault { addr: u64::MAX })
+        );
+        assert!(mem.overlaps(u64::MAX, 1));
+        assert!(mem.overlaps(base - 0x1000, 0x1001));
+        assert!(!mem.overlaps(base - 0x1000, 0x1000));
+        assert!(!mem.overlaps(0, 0x1000));
+        mem.map(base - 0x1000, 0x1000, Perms::ReadWrite);
+        assert!(mem
+            .to_string()
+            .starts_with("0xffffffffffffe000..0x10000000000000000 rw-\n"));
+    }
+
+    #[test]
+    #[should_panic(expected = "past the top")]
+    fn map_past_the_top_of_the_address_space_panics() {
+        let mut mem = Memory::new(VaLayout::default());
+        mem.map(0u64.wrapping_sub(0x1000), 0x2000, Perms::ReadWrite);
+    }
+
+    #[test]
+    fn the_written_span_grows_both_ways_and_clones_independently() {
+        let mut mem = Memory::with_standard_layout();
+        let stack = LAYOUT.stack_top - LAYOUT.stack_size;
+        let slot = |page: u64| stack + page * 0x1000 + 8;
+        let span = |mem: &Memory| {
+            let seg = &mem.segments[2];
+            (seg.first, seg.pages.len())
+        };
+        assert_eq!(span(&mem), (0, 0));
+        // A stack grows down: each page below the span moves `first`.
+        for page in [252, 251, 250] {
+            mem.write_u64(slot(page), page).unwrap();
+        }
+        assert_eq!(span(&mem), (250, 3));
+        // Up, past two pages never written.
+        mem.write_u64(slot(255), 255).unwrap();
+        assert_eq!(span(&mem), (250, 6));
+        let copy = mem.clone();
+        // Down, by an access straddling two pages, then past a gap.
+        let straddling = stack + 248 * 0x1000 + 0xffc;
+        mem.write_u64(straddling, u64::MAX).unwrap();
+        assert_eq!(span(&mem), (248, 8));
+        mem.write_u64(slot(100), 100).unwrap();
+        assert_eq!(span(&mem), (100, 156));
+        assert_eq!(mem.read_u64(straddling).unwrap(), u64::MAX);
+        for page in [100, 250, 251, 252, 255] {
+            assert_eq!(mem.read_u64(slot(page)).unwrap(), page);
+        }
+        for page in [101, 253, 254] {
+            assert_eq!(mem.read_u64(slot(page)).unwrap(), 0);
+        }
+        // The clone kept its own span and bytes.
+        assert_eq!(span(&copy), (250, 6));
+        assert_eq!(copy.read_u64(straddling).unwrap(), 0);
+        assert_eq!(copy.read_u64(slot(100)).unwrap(), 0);
+        assert_eq!(copy.read_u64(slot(255)).unwrap(), 255);
     }
 
     #[test]

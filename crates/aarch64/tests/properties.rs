@@ -226,7 +226,7 @@ const _: fn() = || {
 };
 
 /// Segments [`memories`] maps.
-const SEGMENTS: usize = 6;
+const SEGMENTS: usize = 7;
 
 /// One flat, zero-filled byte array per segment, checked in the same order
 /// as [`Memory`]: canonical address, segment lookup (the whole access
@@ -238,10 +238,11 @@ struct FlatMemory {
 }
 
 /// A [`Memory`] under `layout` and its flat model, both mapping the
-/// standard segments plus two that sit on the edges of the canonical
-/// ranges: one in the upper half, and one that runs past the top of the
-/// lower half, so its second page is not canonical. Only the first five
-/// lie wholly in one canonical range.
+/// standard segments plus three that sit on the edges of the canonical
+/// ranges: one in the upper half, one that ends at 2⁶⁴ (the top of the
+/// upper half), and one that runs past the top of the lower half, so its
+/// second page is not canonical. All but that last lie wholly in one
+/// canonical range.
 fn memories(layout: VaLayout) -> (Memory, FlatMemory) {
     let top = 1u64 << layout.va_size();
     let segments: [(u64, u64, Perms); SEGMENTS] = [
@@ -262,6 +263,7 @@ fn memories(layout: VaLayout) -> (Memory, FlatMemory) {
             2 * PAGE,
             Perms::ReadWrite,
         ),
+        (0u64.wrapping_sub(2 * PAGE), 2 * PAGE, Perms::ReadWrite),
         (top - PAGE, 2 * PAGE, Perms::ReadWrite),
     ];
     let mut mem = Memory::new(layout);
@@ -286,7 +288,8 @@ impl FlatMemory {
         self.segments
             .iter()
             .position(|(base, _, bytes)| {
-                addr >= *base && addr.saturating_add(8) <= base + bytes.len() as u64
+                // In `u128`, so the segment ending at 2⁶⁴ overflows nothing.
+                addr >= *base && u128::from(addr) + 8 <= u128::from(*base) + bytes.len() as u128
             })
             .map(|i| (i, (addr - self.segments[i].0) as usize))
             .ok_or(Fault::AccessFault { addr })
@@ -331,7 +334,9 @@ fn arb_mem_op() -> impl Strategy<Value = MemOp> {
 /// The address an op touches. Shapes: 0 an aligned slot, 1 an access
 /// crossing a page boundary inside the segment, 2 an access crossing or
 /// starting at the segment's end, 3 any byte offset, 4 the first slot, 5
-/// the last slot, 6 the slot just below the segment (unmapped).
+/// the last slot, 6 the slot just below the segment (unmapped), 7 slot
+/// `(raw >> 32) % 512` of the page `raw % 2³²` pages below the last (page
+/// 0 if there are fewer).
 fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
     let (base, _, bytes) = &model.segments[region % SEGMENTS];
     let len = bytes.len() as u64;
@@ -342,6 +347,9 @@ fn op_addr(model: &FlatMemory, &(region, shape, raw, _, _): &MemOp) -> u64 {
         4 => 0,
         5 => len - 8,
         6 => 0u64.wrapping_sub(8),
+        7 => {
+            (len / PAGE - 1).saturating_sub(raw & 0xFFFF_FFFF) * PAGE + (raw >> 32) % (PAGE / 8) * 8
+        }
         _ => raw % len,
     };
     let addr = base.wrapping_add(off);
@@ -415,6 +423,28 @@ fn memo_ops(&(kind, region, raw, write, value): &MemoProbe) -> Vec<MemOp> {
     }
 }
 
+/// Writes to consecutive pages of one segment, each below the one before,
+/// the way a stack grows: `(region, skip, pages, raw, value)` writes
+/// `pages` pages of segment `region` down from the page `skip` below its
+/// last (clamped at page 0).
+type Descent = (usize, u64, u64, u64, u64);
+
+fn arb_descent() -> impl Strategy<Value = Descent> {
+    (
+        0usize..SEGMENTS,
+        0u64..4,
+        2u64..8,
+        any::<u64>(),
+        any::<u64>(),
+    )
+}
+
+fn descent_ops(&(region, skip, pages, raw, value): &Descent) -> Vec<MemOp> {
+    (skip..skip + pages)
+        .map(|below| (region, 7, raw << 32 | below, true, value ^ below))
+        .collect()
+}
+
 /// Applies one op to both memories and checks they agree on the result.
 fn apply_op(mem: &mut Memory, model: &mut FlatMemory, op: &MemOp) -> Result<(), TestCaseError> {
     let addr = op_addr(model, op);
@@ -434,7 +464,9 @@ fn assert_same(mem: &Memory, model: &FlatMemory, ops: &[MemOp]) -> Result<(), Te
     let mut addrs: Vec<u64> = Vec::new();
     for (base, _, bytes) in &model.segments {
         for page in (0..bytes.len() as u64).step_by(PAGE as usize) {
-            addrs.extend([base + page, base + page + PAGE - 8, base + page + PAGE - 4]);
+            // Summed in this order, the last page below 2⁶⁴ overflows nothing.
+            let at = base + page;
+            addrs.extend([at, at + (PAGE - 8), at + (PAGE - 4)]);
         }
     }
     for op in ops {
@@ -455,6 +487,7 @@ proptest! {
         random_ops in prop::collection::vec(arb_mem_op(), 1..48),
         probes in prop::collection::vec(arb_memo_probe(), 0..8),
         split in any::<prop::sample::Index>(),
+        descents in prop::collection::vec(arb_descent(), 0..4),
         clone_ops in prop::collection::vec(arb_mem_op(), 0..24),
     ) {
         // The memo probes run between the random ops, so each starts from
@@ -475,7 +508,14 @@ proptest! {
         };
         prop_assert_eq!(mem.read_u64(tagged_data), Err(want));
         let (before, after) = ops.split_at(split.index(ops.len()));
-        for op in before {
+        // The descents run before the clone point, so the clone starts from
+        // spans that grew down.
+        let mut before = before.to_vec();
+        for (i, descent) in descents.iter().enumerate() {
+            let at = (descent.3 as usize + i) % (before.len() + 1);
+            before.splice(at..at, descent_ops(descent));
+        }
+        for op in &before {
             apply_op(&mut mem, &mut model, op)?;
         }
         // Writes to the clone never reach the original, nor the reverse.
@@ -487,7 +527,7 @@ proptest! {
         for op in &clone_ops {
             apply_op(&mut copy, &mut copy_model, op)?;
         }
-        let all: Vec<MemOp> = ops.iter().chain(&clone_ops).copied().collect();
+        let all: Vec<MemOp> = before.iter().chain(after).chain(&clone_ops).copied().collect();
         assert_same(&mem, &model, &all)?;
         assert_same(&copy, &copy_model, &all)?;
     }

@@ -120,7 +120,8 @@ pub struct Reference {
 
 /// A target compiled, seeded and profiled, ready for injected trials.
 /// Each trial runs on a clone of the base CPU, which shares the linked
-/// program and copies only the memory pages the base has written.
+/// program and copies only the memory pages the base has written: the
+/// clone and its drop cost O(written span), not O(mapped size).
 #[derive(Debug, Clone)]
 pub struct PreparedTarget {
     /// The configuration this was prepared for.
