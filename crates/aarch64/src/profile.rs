@@ -88,30 +88,32 @@ impl Profiler {
 
     /// Observes one retired instruction, as [`Cpu::run_observed`] passes it.
     pub fn observe(&mut self, cpu: &Cpu, insn: Instruction) {
-        // Attribute this instruction's (fully charged) cost to the frame
-        // that issued it, then move the frame stack: calls are charged to
-        // the caller, returns to the returning function.
-        let now = cpu.cycles();
-        self.attribute(now);
+        // Between frame changes every instruction charges the same stack,
+        // so cycles are attributed only when the stack is about to move:
+        // calls (their own cost included) are charged to the caller,
+        // returns to the returning function.
         let callee = match insn {
-            Instruction::Bl(target) => target,
-            Instruction::Blr(n) => cpu.reg(n),
-            // The root frame is never popped: a `ret` seen with only the
-            // root on the stack belongs to a caller outside the window.
-            Instruction::Ret | Instruction::Retaa | Instruction::Retab => {
-                if self.frames.len() > 1 {
-                    if let Some(frame) = self.frames.pop() {
-                        self.record_span(frame, now);
-                    }
-                }
-                return;
-            }
+            Instruction::Bl(target) => Some(target),
+            Instruction::Blr(n) => Some(cpu.reg(n)),
+            Instruction::Ret | Instruction::Retaa | Instruction::Retab => None,
             _ => return,
         };
-        self.frames.push(Frame {
-            addr: callee,
-            entered_at: now,
-        });
+        let now = cpu.cycles();
+        self.attribute(now);
+        match callee {
+            Some(addr) => self.frames.push(Frame {
+                addr,
+                entered_at: now,
+            }),
+            // The root frame is never popped: a `ret` seen with only the
+            // root on the stack belongs to a caller outside the window.
+            None if self.frames.len() > 1 => {
+                if let Some(frame) = self.frames.pop() {
+                    self.record_span(frame, now);
+                }
+            }
+            None => {}
+        }
     }
 
     fn stack_key(&self) -> Vec<u64> {

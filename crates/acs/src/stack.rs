@@ -1,8 +1,12 @@
 //! The ACS state machine: chained signing on call, verification on return.
 
 use crate::{AcsConfig, AcsViolation, JmpBuf, Masking};
-use pacstack_pauth::{PaKeys, PointerAuth};
+use pacstack_pauth::{PaKey, PaKeys, PointerAuth};
 use pacstack_telemetry as telemetry;
+
+/// The key every chain link, `setjmp` binding and check uses: instruction
+/// key A, as the lowered PACStack code signs with `pacia`/`autia`.
+const KEY: PaKey = PaKey::Ia;
 
 /// One activation frame as it appears in attacker-visible stack memory.
 ///
@@ -115,15 +119,14 @@ impl AuthenticatedCallStack {
     /// encrypt and get a zero pad. The MAC ignores `pointer`'s PAC field,
     /// so a caller may pass a pointer whose field still holds the pad.
     fn macs(&self, pointer: u64, modifier: u64) -> (u64, u64) {
-        let key = self.config.key();
         match self.config.masking_mode() {
             Masking::Masked => {
                 let (mac, pad) = self
                     .pa
-                    .compute_pac_pair(&self.keys, key, pointer, 0, modifier);
+                    .compute_pac_pair(&self.keys, KEY, pointer, 0, modifier);
                 (mac, self.pa.layout().insert_pac(0, pad))
             }
-            Masking::Unmasked => (self.pa.compute_pac(&self.keys, key, pointer, modifier), 0),
+            Masking::Unmasked => (self.pa.compute_pac(&self.keys, KEY, pointer, modifier), 0),
         }
     }
 
@@ -179,10 +182,7 @@ impl AuthenticatedCallStack {
         // The pad lies only in the PAC field, which the MAC strips, so the
         // MAC is taken of CR itself and runs beside the pad's, not after it.
         let (mac, pad) = self.macs(self.cr, prev);
-        match self
-            .pa
-            .verify_with_pac(mac, self.cr ^ pad, self.config.key())
-        {
+        match self.pa.verify_with_pac(mac, self.cr ^ pad, KEY) {
             Ok(ret) => {
                 self.cr = prev;
                 Ok(ret)
@@ -202,9 +202,7 @@ impl AuthenticatedCallStack {
     /// `setjmp` (paper Listing 4): binds the setjmp return site and stack
     /// pointer to the current chain head.
     pub fn setjmp(&self, ret: u64, sp: u64) -> JmpBuf {
-        let (ret_mac, sp_mac) =
-            self.pa
-                .compute_pac_pair(&self.keys, self.config.key(), ret, sp, self.cr);
+        let (ret_mac, sp_mac) = self.pa.compute_pac_pair(&self.keys, KEY, ret, sp, self.cr);
         let bound = self.pa.sign_with_pac(ret_mac, ret) ^ self.pa.sign_with_pac(sp_mac, sp);
         JmpBuf {
             bound_ret: bound,
@@ -230,15 +228,14 @@ impl AuthenticatedCallStack {
         if telemetry::enabled() {
             telemetry::counter("acs_longjmps_total", 1);
         }
-        let key = self.config.key();
         // `pac(sp, chain)` differs from `sp` only inside the PAC field, which
         // the MAC strips, so the MAC of `lr` is the MAC of `bound_ret ^ sp`
         // and runs beside the unbinding MAC, not after it.
         let (sp_mac, ret_mac) =
             self.pa
-                .compute_pac_pair(&self.keys, key, buf.sp, buf.bound_ret ^ buf.sp, buf.chain);
+                .compute_pac_pair(&self.keys, KEY, buf.sp, buf.bound_ret ^ buf.sp, buf.chain);
         let lr = buf.bound_ret ^ self.pa.sign_with_pac(sp_mac, buf.sp);
-        match self.pa.verify_with_pac(ret_mac, lr, key) {
+        match self.pa.verify_with_pac(ret_mac, lr, KEY) {
             Ok(ret) => {
                 self.cr = buf.chain;
                 self.frames.truncate(buf.depth);
@@ -316,7 +313,7 @@ impl AuthenticatedCallStack {
         for (depth, frame) in self.frames.iter().enumerate().rev() {
             let prev = frame.stored_chain;
             let (mac, pad) = self.macs(cr, prev);
-            match self.pa.verify_with_pac(mac, cr ^ pad, self.config.key()) {
+            match self.pa.verify_with_pac(mac, cr ^ pad, KEY) {
                 Ok(ret) => {
                     rets.push(ret);
                     cr = prev;

@@ -17,11 +17,13 @@ use pacstack_acs::{AcsConfig, AcsViolation, AuthenticatedCallStack, JmpBuf, Mask
 use pacstack_pauth::{PaKey, PaKeys, PointerAuth, VaLayout};
 use proptest::prelude::*;
 
+/// The key the construction signs with: instruction key A.
+const KEY: PaKey = PaKey::Ia;
+
 /// The reference chain: CR plus the spilled slots, nothing cached.
 struct Model {
     pa: PointerAuth,
     keys: PaKeys,
-    key: PaKey,
     masked: bool,
     cr: u64,
     slots: Vec<u64>,
@@ -30,14 +32,14 @@ struct Model {
 impl Model {
     fn pad(&self, modifier: u64) -> u64 {
         if self.masked {
-            self.pa.pac(&self.keys, self.key, 0, modifier)
+            self.pa.pac(&self.keys, KEY, 0, modifier)
         } else {
             0
         }
     }
 
     fn aret(&self, ret: u64, prev: u64) -> u64 {
-        self.pa.pac(&self.keys, self.key, ret, prev) ^ self.pad(prev)
+        self.pa.pac(&self.keys, KEY, ret, prev) ^ self.pad(prev)
     }
 
     fn call(&mut self, ret: u64) {
@@ -50,7 +52,7 @@ impl Model {
     fn check(&self, cr: u64, prev: u64, depth: usize) -> Result<u64, AcsViolation> {
         let lr = cr ^ self.pad(prev);
         self.pa
-            .aut(&self.keys, self.key, lr, prev)
+            .aut(&self.keys, KEY, lr, prev)
             .map_err(|err| AcsViolation {
                 corrupted: err.corrupted,
                 depth,
@@ -77,8 +79,8 @@ impl Model {
     }
 
     fn setjmp(&self, ret: u64, sp: u64) -> JmpBuf {
-        let bound = self.pa.pac(&self.keys, self.key, ret, self.cr)
-            ^ self.pa.pac(&self.keys, self.key, sp, self.cr);
+        let bound =
+            self.pa.pac(&self.keys, KEY, ret, self.cr) ^ self.pa.pac(&self.keys, KEY, sp, self.cr);
         JmpBuf {
             bound_ret: bound,
             sp,
@@ -129,10 +131,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         })
 }
 
-fn arb_key() -> impl Strategy<Value = PaKey> {
-    prop_oneof![Just(PaKey::Ia), Just(PaKey::Ib), Just(PaKey::Da)]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -141,7 +139,6 @@ proptest! {
         va_size in 36u32..=52,
         tagged in any::<bool>(),
         masked in any::<bool>(),
-        key in arb_key(),
         seed in any::<u64>(),
         init in any::<u64>(),
         ops in prop::collection::vec(arb_op(), 1..48),
@@ -149,9 +146,9 @@ proptest! {
         let pa = PointerAuth::new(VaLayout::new(va_size, tagged));
         let keys = PaKeys::from_seed(seed);
         let masking = if masked { Masking::Masked } else { Masking::Unmasked };
-        let config = AcsConfig::default().masking(masking).signing_key(key).seed(init);
+        let config = AcsConfig::default().masking(masking).seed(init);
         let mut acs = AuthenticatedCallStack::new(pa, keys.clone(), config);
-        let mut model = Model { pa, keys, key, masked, cr: init, slots: Vec::new() };
+        let mut model = Model { pa, keys, masked, cr: init, slots: Vec::new() };
 
         for op in ops {
             match op {
@@ -221,7 +218,6 @@ proptest! {
         va_size in 36u32..=52,
         tagged in any::<bool>(),
         masked in any::<bool>(),
-        key in arb_key(),
         seed in any::<u64>(),
         init in any::<u64>(),
         rets in prop::collection::vec(arb_pointer(), 0..8),
@@ -233,7 +229,7 @@ proptest! {
         let pa = PointerAuth::new(VaLayout::new(va_size, tagged));
         let keys = PaKeys::from_seed(seed);
         let masking = if masked { Masking::Masked } else { Masking::Unmasked };
-        let config = AcsConfig::default().masking(masking).signing_key(key).seed(init);
+        let config = AcsConfig::default().masking(masking).seed(init);
         let mut acs = AuthenticatedCallStack::new(pa, keys.clone(), config);
         let (outer, inner) = rets.split_at(split.index(rets.len() + 1));
         for &r in outer {
@@ -247,7 +243,7 @@ proptest! {
 
         let (depth, cr) = (acs.depth(), acs.chain_register());
         let serial = pa
-            .aut(&keys, key, buf.bound_ret ^ pa.pac(&keys, key, buf.sp, buf.chain), buf.chain)
+            .aut(&keys, KEY, buf.bound_ret ^ pa.pac(&keys, KEY, buf.sp, buf.chain), buf.chain)
             .map_err(|err| AcsViolation { corrupted: err.corrupted, depth });
         prop_assert_eq!(acs.longjmp(&buf), serial);
         if serial.is_ok() {

@@ -12,8 +12,8 @@
 //! `LR`/`CR` — registers the adversary cannot touch — so the forgery is
 //! carried to `B`'s return, where it fails to authenticate.
 
-use crate::rop::AttackOutcome;
-use pacstack_aarch64::{Cpu, Fault, Reg, RunStatus};
+use crate::victim::{self, AttackOutcome, VictimError};
+use pacstack_aarch64::{Cpu, Fault, Reg};
 use pacstack_compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
 
 /// Checkpoint raised in `alpha` before its tail-call epilogue.
@@ -51,44 +51,27 @@ fn tail_call_module() -> Module {
 /// `alpha`'s frame just before its tail-call epilogue, hoping the
 /// aut→(tail call)→pac sequence launders it into a valid chain head.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the victim never reaches the pre-tail-call checkpoint.
-#[allow(clippy::expect_used, reason = "fixed victim module, see # Panics")]
-pub fn tail_call_gadget_attack(scheme: Scheme) -> AttackOutcome {
+/// [`VictimError`] if the victim misses the pre-tail-call checkpoint or
+/// the forgery's write faults.
+pub fn tail_call_gadget_attack(scheme: Scheme) -> Result<AttackOutcome, VictimError> {
     let program = lower(&tail_call_module(), scheme);
     let mut cpu = Cpu::with_seed(program, 4242);
-
-    let out = cpu
-        .run(1_000_000)
-        .expect("must reach the pre-tail checkpoint");
-    assert_eq!(out.status, RunStatus::Syscall(PRE_TAIL_CHECKPOINT));
+    victim::run_to(&mut cpu, PRE_TAIL_CHECKPOINT)?;
 
     // Forge: point the spilled chain value at `evil` with a zero token.
-    let evil = cpu.symbol("evil").expect("evil exists");
+    let evil = cpu.symbol("evil").ok_or(Fault::NoSuchSymbol)?;
     let sp = cpu.reg(Reg::Sp);
     cpu.mem_mut()
-        .write_u64(sp + frame::CHAIN_SLOT as u64, evil)
-        .expect("chain slot writable");
-
-    loop {
-        match cpu.run(1_000_000) {
-            Ok(out) => match out.status {
-                RunStatus::Syscall(EVIL_CHECKPOINT) => return AttackOutcome::Hijacked,
-                RunStatus::Syscall(_) => continue,
-                RunStatus::Exited(_) => return AttackOutcome::Ineffective,
-            },
-            Err(Fault::Timeout) => return AttackOutcome::Ineffective,
-            Err(_) => return AttackOutcome::Crashed,
-        }
-    }
+        .write_u64(sp + frame::CHAIN_SLOT as u64, evil)?;
+    Ok(victim::outcome(&mut cpu, EVIL_CHECKPOINT))
 }
 
 #[cfg(test)]
 mod tests {
-    #![allow(clippy::unwrap_used, clippy::expect_used)]
-
     use super::*;
+    use pacstack_aarch64::RunStatus;
 
     #[test]
     fn pacstack_detects_the_tail_call_gadget() {
@@ -98,7 +81,7 @@ mod tests {
         for scheme in [Scheme::PacStack, Scheme::PacStackNomask] {
             assert_eq!(
                 tail_call_gadget_attack(scheme),
-                AttackOutcome::Crashed,
+                Ok(AttackOutcome::Crashed),
                 "{scheme}"
             );
         }
@@ -108,14 +91,17 @@ mod tests {
     fn baseline_tail_calls_run_clean_without_attack() {
         // Control: the tail-call module itself behaves under every scheme.
         for scheme in Scheme::ALL {
-            let program = lower(&tail_call_module(), scheme);
-            let mut cpu = Cpu::with_seed(program, 1);
-            loop {
-                match cpu.run(1_000_000).expect("clean run") {
-                    out if matches!(out.status, RunStatus::Exited(_)) => break,
-                    _ => continue,
-                }
-            }
+            let mut cpu = Cpu::with_seed(lower(&tail_call_module(), scheme), 1);
+            assert_eq!(
+                victim::run_to(&mut cpu, PRE_TAIL_CHECKPOINT),
+                Ok(()),
+                "{scheme}"
+            );
+            let status = cpu.run(1_000_000).map(|out| out.status);
+            assert!(
+                matches!(status, Ok(RunStatus::Exited(_))),
+                "{scheme}: {status:?}"
+            );
         }
     }
 }

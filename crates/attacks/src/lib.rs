@@ -13,6 +13,7 @@
 //! | [`guessing`] | §4.3 | Brute force against forked siblings: divide-and-conquer (2ᵇ) vs re-seeded chains (2ᵇ⁺¹) |
 //! | [`gadget`] | §6.3.1, Listings 7–8 | The Project-Zero signing gadget and why PACStack's tail calls resist it |
 //! | [`online`] | §4.3 + §6.2.2 | End-to-end brute force against the full simulated system |
+//! | [`victim`] | §2.2.1, §6.3.1 | The harness the attacks on the simulated CPU share: run to a checkpoint, tamper, resume and classify |
 //!
 //! Monte Carlo experiments run at reduced PAC widths (`b` ∈ 3..8) so
 //! success probabilities of order 2⁻ᵇ and 2⁻²ᵇ are measurable in sensible
@@ -30,6 +31,7 @@ pub mod offgraph;
 pub mod online;
 pub mod reuse;
 pub mod rop;
+pub mod victim;
 
 use pacstack_acs::{AcsConfig, AuthenticatedCallStack, Masking};
 use pacstack_pauth::{PaKeys, PointerAuth, VaLayout};

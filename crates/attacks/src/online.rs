@@ -10,36 +10,13 @@
 //! on restart.
 
 use crate::layout_with_pac_bits;
-use pacstack_aarch64::{Cpu, Fault, Reg, RunStatus};
-use pacstack_compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
+use crate::rop::{victim_module, GADGET_CHECKPOINT, VICTIM_CHECKPOINT};
+use crate::victim::{self, AttackOutcome, VictimError};
+use pacstack_aarch64::{Cpu, Fault, Reg};
+use pacstack_compiler::{frame, lower, Scheme};
 use pacstack_pauth::{PaKeys, PointerAuth};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-const VICTIM_CHECKPOINT: u16 = 42;
-const GADGET_CHECKPOINT: u16 = 99;
-
-fn victim_module() -> Module {
-    let mut m = Module::new();
-    m.push(FuncDef::new(
-        "main",
-        vec![Stmt::Call("victim".into()), Stmt::Return],
-    ));
-    m.push(FuncDef::new(
-        "victim",
-        vec![
-            Stmt::Checkpoint(VICTIM_CHECKPOINT),
-            Stmt::Call("noop".into()),
-            Stmt::Return,
-        ],
-    ));
-    m.push(FuncDef::new("noop", vec![Stmt::Compute(1), Stmt::Return]));
-    m.push(FuncDef::new(
-        "gadget",
-        vec![Stmt::Checkpoint(GADGET_CHECKPOINT), Stmt::Return],
-    ));
-    m
-}
 
 /// Result of a brute-force campaign.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,21 +28,21 @@ pub struct BruteForceResult {
 }
 
 /// Runs the online attack at PAC width `b` under `scheme` (a PACStack
-/// variant): per process launch, forge the victim's chain slot *and*
-/// main's chain slot with guessed tokens aimed at the gadget, resume, and
-/// observe. Every failure crashes the process; the restart draws fresh PA
-/// keys (the §4.3 single-process setting, expected cost 2²ᵇ launches).
+/// variant) against [`crate::rop`]'s victim: per process launch, forge the
+/// victim's chain slot with a guessed token aimed at the gadget, resume,
+/// and observe. Every failure crashes the process; the restart draws fresh
+/// PA keys (the §4.3 single-process setting, expected cost 2²ᵇ launches).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the victim misses its checkpoint (harness bug).
-#[allow(clippy::expect_used, reason = "fixed victim module, see # Panics")]
+/// [`VictimError`] if a launch misses its checkpoint or the forgery's write
+/// faults.
 pub fn bruteforce_to_gadget(
     scheme: Scheme,
     b: u32,
     max_attempts: u64,
     seed: u64,
-) -> BruteForceResult {
+) -> Result<BruteForceResult, VictimError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let program = lower(&victim_module(), scheme);
     let layout = layout_with_pac_bits(b);
@@ -76,56 +53,56 @@ pub fn bruteforce_to_gadget(
         // Fresh process: new keys on exec.
         let keys = PaKeys::from_seed(rng.gen());
         let mut cpu = Cpu::with_parts(program.clone(), keys, pa);
-        let out = cpu.run(100_000).expect("victim reaches checkpoint");
-        assert_eq!(out.status, RunStatus::Syscall(VICTIM_CHECKPOINT));
+        victim::run_to(&mut cpu, VICTIM_CHECKPOINT)?;
 
-        let gadget = cpu.symbol("gadget").expect("gadget exists");
+        let gadget = cpu.symbol("gadget").ok_or(Fault::NoSuchSymbol)?;
         let sp = cpu.reg(Reg::Sp);
         // Stage guesses: victim's chain slot becomes a forged authenticated
-        // pointer at the gadget; main's chain slot gets an arbitrary value
-        // the second verification is guessed against.
+        // pointer at the gadget; main's chain slot keeps its genuine value,
+        // which the second verification is guessed against.
         let forged = layout.insert_pac(gadget, rng.gen::<u64>() & mask);
         cpu.mem_mut()
-            .write_u64(sp + frame::CHAIN_SLOT as u64, forged)
-            .expect("stack writable");
-
-        loop {
-            match cpu.run(100_000) {
-                Ok(out) => match out.status {
-                    RunStatus::Syscall(GADGET_CHECKPOINT) => {
-                        return BruteForceResult {
-                            attempts: attempt,
-                            succeeded: true,
-                        }
-                    }
-                    RunStatus::Syscall(_) => continue,
-                    RunStatus::Exited(_) => break, // forgery diverted nothing
-                },
-                Err(Fault::Timeout) => break,
-                Err(_) => break, // crash: one spent attempt
-            }
+            .write_u64(sp + frame::CHAIN_SLOT as u64, forged)?;
+        // Anything but the gadget is one spent attempt.
+        if victim::outcome(&mut cpu, GADGET_CHECKPOINT) == AttackOutcome::Hijacked {
+            return Ok(BruteForceResult {
+                attempts: attempt,
+                succeeded: true,
+            });
         }
     }
-    BruteForceResult {
+    Ok(BruteForceResult {
         attempts: max_attempts,
         succeeded: false,
-    }
+    })
 }
 
 /// Mean launches until success across `campaigns` independent campaigns,
 /// run across the [`pacstack_exec`] worker pool (each campaign's seed is a
 /// pure function of its index, so the mean is thread-count independent).
-pub fn mean_attempts(scheme: Scheme, b: u32, campaigns: u64, seed: u64) -> f64 {
+///
+/// # Errors
+///
+/// The first campaign's [`VictimError`], in campaign order.
+pub fn mean_attempts(
+    scheme: Scheme,
+    b: u32,
+    campaigns: u64,
+    seed: u64,
+) -> Result<f64, VictimError> {
     use pacstack_exec as exec;
     let run = exec::run_trials(seed ^ 0x0911_11E5_B4F0_0004, campaigns, |i, _rng| {
-        bruteforce_to_gadget(scheme, b, u64::MAX, seed ^ (i * 0x9E37_79B9)).attempts
+        bruteforce_to_gadget(scheme, b, u64::MAX, seed ^ (i * 0x9E37_79B9)).map(|r| r.attempts)
     });
     exec::stats::record(format!("online brute-force {scheme} b={b}"), run.stats);
-    run.results.iter().sum::<u64>() as f64 / campaigns as f64
+    let attempts = run.results.into_iter().sum::<Result<u64, _>>()?;
+    Ok(attempts as f64 / campaigns as f64)
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
 
     #[test]
@@ -135,7 +112,7 @@ mod tests {
         // second verification happens against main's genuine seed chain, so
         // success requires H(gadget, seed)(fresh key) to match the guessed
         // token — still 2^-b.
-        let result = bruteforce_to_gadget(Scheme::PacStack, 3, 20_000, 7);
+        let result = bruteforce_to_gadget(Scheme::PacStack, 3, 20_000, 7).unwrap();
         assert!(
             result.succeeded,
             "no success in {} attempts",
@@ -147,7 +124,7 @@ mod tests {
     #[test]
     fn mean_attempts_scale_with_two_to_2b() {
         let b = 3;
-        let mean = mean_attempts(Scheme::PacStack, b, 12, 99);
+        let mean = mean_attempts(Scheme::PacStack, b, 12, 99).unwrap();
         let expected = 4f64.powi(b as i32); // 2^(2b) = 64
         assert!(
             mean > expected * 0.3 && mean < expected * 3.0,
@@ -159,7 +136,7 @@ mod tests {
     fn deployed_width_resists_a_realistic_budget() {
         // At b = 16 the expected cost is 2^32 launches; a 300-launch
         // campaign must fail.
-        let result = bruteforce_to_gadget(Scheme::PacStack, 16, 300, 5);
+        let result = bruteforce_to_gadget(Scheme::PacStack, 16, 300, 5).unwrap();
         assert!(!result.succeeded);
         assert_eq!(result.attempts, 300);
     }

@@ -11,8 +11,8 @@
 //! substitution has nothing to substitute: the chain slot holds identical
 //! values for both calls, and the authoritative token sits in CR.
 
-use crate::rop::AttackOutcome;
-use pacstack_aarch64::{Cpu, Fault, Reg, RunStatus};
+use crate::victim::{self, AttackOutcome, Stop, VictimError};
+use pacstack_aarch64::{Cpu, Reg};
 use pacstack_compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
 
 /// Checkpoint raised in `first` (the harvest window).
@@ -82,11 +82,11 @@ pub struct ReuseResult {
 /// The substituted slot is the saved-LR slot for pac-ret-style schemes and
 /// the chain slot for PACStack (the only slot it consumes).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the victim misses its checkpoints (harness bug).
-#[allow(clippy::expect_used, reason = "fixed victim module, see # Panics")]
-pub fn run_reuse(scheme: Scheme, same_depth: bool) -> ReuseResult {
+/// [`VictimError`] if the victim misses a checkpoint or the harvest or the
+/// substitution faults.
+pub fn run_reuse(scheme: Scheme, same_depth: bool) -> Result<ReuseResult, VictimError> {
     let program = lower(&reuse_module(!same_depth), scheme);
     let mut cpu = Cpu::with_seed(program, 77);
 
@@ -97,68 +97,43 @@ pub fn run_reuse(scheme: Scheme, same_depth: bool) -> ReuseResult {
     };
 
     // Harvest inside `first`.
-    let out = cpu.run(1_000_000).expect("must reach harvest checkpoint");
-    assert_eq!(out.status, RunStatus::Syscall(HARVEST_CHECKPOINT));
-    let harvested = cpu
-        .mem()
-        .read_u64(cpu.reg(Reg::Sp) + slot)
-        .expect("harvest slot readable");
+    victim::run_to(&mut cpu, HARVEST_CHECKPOINT)?;
+    let harvested = cpu.mem().read_u64(cpu.reg(Reg::Sp) + slot)?;
 
-    // Advance to the substitution window inside `second`.
-    let out = cpu
-        .run(1_000_000)
-        .expect("must reach substitution checkpoint");
-    assert_eq!(out.status, RunStatus::Syscall(SUBSTITUTE_CHECKPOINT));
+    // Substitute inside `second`.
+    victim::run_to(&mut cpu, SUBSTITUTE_CHECKPOINT)?;
     let substitution_addr = cpu.reg(Reg::Sp) + slot;
-    cpu.mem_mut()
-        .write_u64(substitution_addr, harvested)
-        .expect("substitution slot writable");
+    cpu.mem_mut().write_u64(substitution_addr, harvested)?;
 
-    // Resume; if the reuse bent control flow back to after-first, `second`
-    // runs twice and we see an extra checkpoint + emit.
+    // Resume to the end; if the reuse bent control flow back to
+    // after-first, `second` runs twice and we see an extra checkpoint + emit.
+    // A bent run that ends without crashing is a hijack.
     let mut re_entered = false;
-    loop {
-        match cpu.run(1_000_000) {
-            Ok(out) => match out.status {
-                RunStatus::Syscall(SUBSTITUTE_CHECKPOINT)
-                | RunStatus::Syscall(HARVEST_CHECKPOINT) => {
-                    re_entered = true;
-                    continue;
-                }
-                RunStatus::Syscall(_) => continue,
-                RunStatus::Exited(_) => {
-                    let emits = cpu.output().len();
-                    let outcome = if re_entered || emits > 2 {
-                        AttackOutcome::Hijacked
-                    } else {
-                        AttackOutcome::Ineffective
-                    };
-                    return ReuseResult { outcome, emits };
-                }
-            },
-            Err(Fault::Timeout) => {
-                return ReuseResult {
-                    outcome: AttackOutcome::Ineffective,
-                    emits: cpu.output().len(),
-                }
+    let outcome = loop {
+        match victim::resume(&mut cpu) {
+            Stop::Checkpoint(HARVEST_CHECKPOINT | SUBSTITUTE_CHECKPOINT) => re_entered = true,
+            Stop::Checkpoint(_) => {}
+            Stop::End(AttackOutcome::Ineffective) if re_entered || cpu.output().len() > 2 => {
+                break AttackOutcome::Hijacked
             }
-            Err(_) => {
-                return ReuseResult {
-                    outcome: AttackOutcome::Crashed,
-                    emits: cpu.output().len(),
-                }
-            }
+            Stop::End(outcome) => break outcome,
         }
-    }
+    };
+    Ok(ReuseResult {
+        outcome,
+        emits: cpu.output().len(),
+    })
 }
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::unwrap_used)]
+
     use super::*;
 
     #[test]
     fn pac_ret_is_bent_by_same_depth_reuse() {
-        let result = run_reuse(Scheme::PacRet, true);
+        let result = run_reuse(Scheme::PacRet, true).unwrap();
         assert_eq!(result.outcome, AttackOutcome::Hijacked);
         assert!(
             result.emits > 2,
@@ -171,13 +146,13 @@ mod tests {
     fn pac_ret_catches_cross_depth_reuse() {
         // Harvested under a different SP, the signed address fails to
         // verify — the case SP-as-modifier does narrow.
-        let result = run_reuse(Scheme::PacRet, false);
+        let result = run_reuse(Scheme::PacRet, false).unwrap();
         assert_eq!(result.outcome, AttackOutcome::Crashed);
     }
 
     #[test]
     fn baseline_is_trivially_bent() {
-        let result = run_reuse(Scheme::Baseline, true);
+        let result = run_reuse(Scheme::Baseline, true).unwrap();
         assert_eq!(result.outcome, AttackOutcome::Hijacked);
     }
 
@@ -187,7 +162,7 @@ mod tests {
         // the substitution is a no-op; the authoritative aret lives in CR
         // and is never on the stack.
         for scheme in [Scheme::PacStack, Scheme::PacStackNomask] {
-            let result = run_reuse(scheme, true);
+            let result = run_reuse(scheme, true).unwrap();
             assert_eq!(result.outcome, AttackOutcome::Ineffective, "{scheme}");
             assert_eq!(result.emits, 2, "{scheme}");
         }
@@ -198,7 +173,7 @@ mod tests {
         // Harvested from a different depth the chain values differ, and the
         // substituted link breaks the MAC chain.
         for scheme in [Scheme::PacStack, Scheme::PacStackNomask] {
-            let result = run_reuse(scheme, false);
+            let result = run_reuse(scheme, false).unwrap();
             assert_eq!(result.outcome, AttackOutcome::Crashed, "{scheme}");
         }
     }

@@ -6,36 +6,15 @@
 //! paper assumes can leak), and resumes. The outcome classifies how each
 //! protection scheme responds.
 
-use pacstack_aarch64::{Cpu, Fault, Reg, RunStatus};
+use crate::victim::{self, AttackOutcome, VictimError};
+use pacstack_aarch64::{Cpu, Fault, Reg};
 use pacstack_compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
-use std::fmt;
 
 /// Checkpoint number raised inside the victim function.
 pub const VICTIM_CHECKPOINT: u16 = 42;
 /// Checkpoint number raised by the gadget — observing it means the attack
 /// redirected control flow.
 pub const GADGET_CHECKPOINT: u16 = 99;
-
-/// What happened after the adversary's write.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AttackOutcome {
-    /// Control flow reached the adversary's gadget.
-    Hijacked,
-    /// The process crashed (fault) — the protection detected the attack.
-    Crashed,
-    /// Execution completed normally — the write had no effect.
-    Ineffective,
-}
-
-impl fmt::Display for AttackOutcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AttackOutcome::Hijacked => f.write_str("hijacked"),
-            AttackOutcome::Crashed => f.write_str("crashed"),
-            AttackOutcome::Ineffective => f.write_str("ineffective"),
-        }
-    }
-}
 
 /// Where the adversary writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -56,7 +35,7 @@ pub enum WriteTarget {
 
 /// The victim: `main` calls `victim`, which pauses at a checkpoint with its
 /// frame live. `gadget` is never called legitimately.
-fn victim_module() -> Module {
+pub(crate) fn victim_module() -> Module {
     let mut m = Module::new();
     m.push(FuncDef::new(
         "main",
@@ -87,69 +66,38 @@ fn victim_module() -> Module {
 
 /// Runs the ROP attack against `scheme` with the given write target.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if the victim fails to reach its checkpoint (harness bug).
-#[allow(clippy::expect_used, reason = "fixed victim module, see # Panics")]
-pub fn run_attack(scheme: Scheme, target: WriteTarget) -> AttackOutcome {
+/// [`VictimError`] if the victim misses its checkpoint or a write to its
+/// stack faults.
+pub fn run_attack(scheme: Scheme, target: WriteTarget) -> Result<AttackOutcome, VictimError> {
     let program = lower(&victim_module(), scheme);
     let mut cpu = Cpu::with_seed(program, 1234);
+    victim::run_to(&mut cpu, VICTIM_CHECKPOINT)?;
 
-    // Run to the victim checkpoint.
-    let out = cpu
-        .run(1_000_000)
-        .expect("victim must reach its checkpoint");
-    assert_eq!(
-        out.status,
-        RunStatus::Syscall(VICTIM_CHECKPOINT),
-        "missed checkpoint"
-    );
-
-    let gadget = cpu.symbol("gadget").expect("gadget exists");
+    let gadget = cpu.symbol("gadget").ok_or(Fault::NoSuchSymbol)?;
     let sp = cpu.reg(Reg::Sp);
+    let stack = |off: i64| sp.wrapping_add(off as u64);
     match target {
         WriteTarget::SavedReturnAddress => {
-            cpu.mem_mut()
-                .write_u64(sp.wrapping_add(frame::LR_SLOT as u64), gadget)
-                .expect("stack is writable");
+            cpu.mem_mut().write_u64(stack(frame::LR_SLOT), gadget)?
         }
         WriteTarget::LinearOverflow => {
             // Overwrite every slot from the frame base up to and including LR.
             for off in (0..=frame::LR_SLOT).step_by(8) {
-                cpu.mem_mut()
-                    .write_u64(sp.wrapping_add(off as u64), gadget)
-                    .expect("stack is writable");
+                cpu.mem_mut().write_u64(stack(off), gadget)?;
             }
         }
         WriteTarget::ShadowStackTop => {
             // Without a shadow stack there is no writable top to aim at.
             let shadow_top = cpu.reg(Reg::SCS).wrapping_sub(8);
             if cpu.mem_mut().write_u64(shadow_top, gadget).is_err() {
-                return AttackOutcome::Ineffective;
+                return Ok(AttackOutcome::Ineffective);
             }
         }
-        WriteTarget::ChainSlot => {
-            cpu.mem_mut()
-                .write_u64(sp.wrapping_add(frame::CHAIN_SLOT as u64), gadget)
-                .expect("stack is writable");
-        }
+        WriteTarget::ChainSlot => cpu.mem_mut().write_u64(stack(frame::CHAIN_SLOT), gadget)?,
     }
-
-    // Resume and classify.
-    loop {
-        match cpu.run(1_000_000) {
-            Ok(out) => match out.status {
-                RunStatus::Syscall(GADGET_CHECKPOINT) => return AttackOutcome::Hijacked,
-                RunStatus::Syscall(_) => continue, // later benign checkpoints
-                RunStatus::Exited(code) if code == pacstack_compiler::CANARY_FAIL_EXIT => {
-                    return AttackOutcome::Crashed
-                }
-                RunStatus::Exited(_) => return AttackOutcome::Ineffective,
-            },
-            Err(Fault::Timeout) => return AttackOutcome::Ineffective,
-            Err(_) => return AttackOutcome::Crashed,
-        }
-    }
+    Ok(victim::outcome(&mut cpu, GADGET_CHECKPOINT))
 }
 
 #[cfg(test)]
@@ -160,7 +108,7 @@ mod tests {
     fn baseline_is_hijacked_by_lr_overwrite() {
         assert_eq!(
             run_attack(Scheme::Baseline, WriteTarget::SavedReturnAddress),
-            AttackOutcome::Hijacked
+            Ok(AttackOutcome::Hijacked)
         );
     }
 
@@ -170,7 +118,7 @@ mod tests {
         // precise write past the canary is invisible to it.
         assert_eq!(
             run_attack(Scheme::StackProtector, WriteTarget::SavedReturnAddress),
-            AttackOutcome::Hijacked
+            Ok(AttackOutcome::Hijacked)
         );
     }
 
@@ -178,7 +126,7 @@ mod tests {
     fn canary_catches_linear_overflow() {
         assert_eq!(
             run_attack(Scheme::StackProtector, WriteTarget::LinearOverflow),
-            AttackOutcome::Crashed
+            Ok(AttackOutcome::Crashed)
         );
     }
 
@@ -186,7 +134,7 @@ mod tests {
     fn pac_ret_crashes_on_lr_overwrite() {
         assert_eq!(
             run_attack(Scheme::PacRet, WriteTarget::SavedReturnAddress),
-            AttackOutcome::Crashed
+            Ok(AttackOutcome::Crashed)
         );
     }
 
@@ -196,7 +144,7 @@ mod tests {
         // write is dead.
         assert_eq!(
             run_attack(Scheme::ShadowCallStack, WriteTarget::SavedReturnAddress),
-            AttackOutcome::Ineffective
+            Ok(AttackOutcome::Ineffective)
         );
     }
 
@@ -206,7 +154,7 @@ mod tests {
         // adversary who learns the shadow stack's address owns the returns.
         assert_eq!(
             run_attack(Scheme::ShadowCallStack, WriteTarget::ShadowStackTop),
-            AttackOutcome::Hijacked
+            Ok(AttackOutcome::Hijacked)
         );
     }
 
@@ -216,7 +164,7 @@ mod tests {
         for scheme in [Scheme::PacStack, Scheme::PacStackNomask] {
             assert_eq!(
                 run_attack(scheme, WriteTarget::SavedReturnAddress),
-                AttackOutcome::Ineffective,
+                Ok(AttackOutcome::Ineffective),
                 "{scheme}"
             );
         }
@@ -227,7 +175,7 @@ mod tests {
         for scheme in [Scheme::PacStack, Scheme::PacStackNomask] {
             assert_eq!(
                 run_attack(scheme, WriteTarget::ChainSlot),
-                AttackOutcome::Crashed,
+                Ok(AttackOutcome::Crashed),
                 "{scheme}"
             );
         }
@@ -237,7 +185,7 @@ mod tests {
     fn baseline_linear_overflow_hijacks() {
         assert_eq!(
             run_attack(Scheme::Baseline, WriteTarget::LinearOverflow),
-            AttackOutcome::Hijacked
+            Ok(AttackOutcome::Hijacked)
         );
     }
 }

@@ -91,7 +91,7 @@ const EXPERIMENTS: [Experiment; 15] = [
     }),
     // §6.3.1: qualitative attack matrix (incl. the tail-call gadget).
     Experiment("gadget", "attack_matrix", |_| {
-        Ok(render::attack_matrix(&experiments::attack_matrix()))
+        Ok(render::attack_matrix(&experiments::attack_matrix()?))
     }),
     // DESIGN.md ablations: masking cost, leaf heuristic.
     Experiment("ablation", "ablation", |_| {

@@ -3,6 +3,7 @@
 use pacstack_aarch64::{Cpu, InsnCounters, Instruction, Reg};
 use pacstack_acs::security::{self, ViolationKind};
 use pacstack_acs::Masking;
+use pacstack_attacks::victim::{AttackOutcome, VictimError};
 use pacstack_attacks::{collision, gadget, guessing, offgraph, reuse, rop};
 use pacstack_chaos::campaign::{chaos_module, coverage, TargetCoverage};
 use pacstack_chaos::ChaosError;
@@ -51,43 +52,31 @@ pub struct Table1Cell {
 /// per cell (arbitrary-address cells get `trials × 8` because their success
 /// probability is 2⁻²ᵇ).
 pub fn table1(b: u32, trials: u64, seed: u64) -> Vec<Table1Cell> {
+    let cell = |kind, masking, run: collision::MonteCarlo| Table1Cell {
+        kind,
+        masking,
+        measured: run.rate(),
+        interval: run.wilson_interval(),
+        analytic: security::max_success_probability(kind, masking, b),
+        trials: run.trials,
+    };
     let mut cells = Vec::new();
     for masking in [Masking::Unmasked, Masking::Masked] {
-        let on_graph = collision::on_graph_attack(b, masking, trials.min(2_000), seed);
-        cells.push(Table1Cell {
-            kind: ViolationKind::OnGraph,
+        cells.push(cell(
+            ViolationKind::OnGraph,
             masking,
-            measured: on_graph.rate(),
-            interval: on_graph.wilson_interval(),
-            analytic: security::max_success_probability(ViolationKind::OnGraph, masking, b),
-            trials: on_graph.trials,
-        });
-        let call_site = offgraph::to_call_site(b, masking, trials, seed ^ 1);
-        cells.push(Table1Cell {
-            kind: ViolationKind::OffGraphToCallSite,
+            collision::on_graph_attack(b, masking, trials.min(2_000), seed),
+        ));
+        cells.push(cell(
+            ViolationKind::OffGraphToCallSite,
             masking,
-            measured: call_site.rate(),
-            interval: call_site.wilson_interval(),
-            analytic: security::max_success_probability(
-                ViolationKind::OffGraphToCallSite,
-                masking,
-                b,
-            ),
-            trials: call_site.trials,
-        });
-        let arbitrary = offgraph::to_arbitrary_address(b, masking, trials * 8, seed ^ 2);
-        cells.push(Table1Cell {
-            kind: ViolationKind::OffGraphToArbitrary,
+            offgraph::to_call_site(b, masking, trials, seed ^ 1),
+        ));
+        cells.push(cell(
+            ViolationKind::OffGraphToArbitrary,
             masking,
-            measured: arbitrary.rate(),
-            interval: arbitrary.wilson_interval(),
-            analytic: security::max_success_probability(
-                ViolationKind::OffGraphToArbitrary,
-                masking,
-                b,
-            ),
-            trials: arbitrary.trials,
-        });
+            offgraph::to_arbitrary_address(b, masking, trials * 8, seed ^ 2),
+        ));
     }
     cells
 }
@@ -334,43 +323,43 @@ pub struct AttackMatrixRow {
     /// Human-readable attack name.
     pub attack: &'static str,
     /// `(scheme, outcome)` pairs.
-    pub outcomes: Vec<(Scheme, rop::AttackOutcome)>,
+    pub outcomes: Vec<(Scheme, AttackOutcome)>,
 }
 
 /// Runs the qualitative attacks (ROP, reuse, signing gadget) against every
 /// scheme — the reproduction of §2, §6.1 and §6.3.1.
-pub fn attack_matrix() -> Vec<AttackMatrixRow> {
-    let row = |attack: &'static str, run: exec::Run<(Scheme, rop::AttackOutcome)>| {
-        exec::stats::record(format!("attack matrix: {attack}"), run.stats);
-        AttackMatrixRow {
-            attack,
-            outcomes: run.results,
-        }
+///
+/// # Errors
+///
+/// The first attack that could not be staged, with its scheme.
+pub fn attack_matrix() -> Result<Vec<AttackMatrixRow>, String> {
+    type Attack = fn(Scheme) -> Result<AttackOutcome, VictimError>;
+    let row = |attack: &'static str, schemes: &[Scheme], run: Attack| {
+        let sweep = exec::parallel_map(schemes, |_, &s| {
+            run(s)
+                .map(|outcome| (s, outcome))
+                .map_err(|e| format!("{attack} under {s}: {e}"))
+        });
+        exec::stats::record(format!("attack matrix: {attack}"), sweep.stats);
+        let outcomes = sweep.results.into_iter().collect::<Result<_, _>>()?;
+        Ok::<_, String>(AttackMatrixRow { attack, outcomes })
     };
-    vec![
-        row(
-            "return-address overwrite",
-            exec::parallel_map(&Scheme::ALL, |_, &s| {
-                (s, rop::run_attack(s, rop::WriteTarget::SavedReturnAddress))
-            }),
-        ),
-        row(
-            "linear stack overflow",
-            exec::parallel_map(&Scheme::ALL, |_, &s| {
-                (s, rop::run_attack(s, rop::WriteTarget::LinearOverflow))
-            }),
-        ),
-        row(
-            "signed-pointer reuse (same SP)",
-            exec::parallel_map(&Scheme::ALL, |_, &s| (s, reuse::run_reuse(s, true).outcome)),
-        ),
+    Ok(vec![
+        row("return-address overwrite", &Scheme::ALL, |s| {
+            rop::run_attack(s, rop::WriteTarget::SavedReturnAddress)
+        })?,
+        row("linear stack overflow", &Scheme::ALL, |s| {
+            rop::run_attack(s, rop::WriteTarget::LinearOverflow)
+        })?,
+        row("signed-pointer reuse (same SP)", &Scheme::ALL, |s| {
+            reuse::run_reuse(s, true).map(|r| r.outcome)
+        })?,
         row(
             "tail-call signing gadget",
-            exec::parallel_map(&[Scheme::PacStackNomask, Scheme::PacStack], |_, &s| {
-                (s, gadget::tail_call_gadget_attack(s))
-            }),
-        ),
-    ]
+            &[Scheme::PacStackNomask, Scheme::PacStack],
+            gadget::tail_call_gadget_attack,
+        )?,
+    ])
 }
 
 // ---------------------------------------------------------------------------

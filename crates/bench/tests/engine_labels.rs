@@ -14,7 +14,7 @@ fn drained_labels() -> (usize, usize) {
 #[test]
 fn each_engine_call_is_recorded_once_under_a_distinct_label() {
     exec::stats::drain();
-    experiments::attack_matrix();
+    assert!(experiments::attack_matrix().is_ok());
     assert_eq!(drained_labels(), (4, 4));
     experiments::guessing_costs(&[6, 8], 20);
     assert_eq!(drained_labels(), (4, 4));

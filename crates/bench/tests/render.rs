@@ -93,7 +93,7 @@ fn attack_matrix_render_lists_every_scheme_row() {
         attack: "test attack",
         outcomes: Scheme::ALL
             .iter()
-            .map(|&s| (s, pacstack_attacks::rop::AttackOutcome::Crashed))
+            .map(|&s| (s, pacstack_attacks::victim::AttackOutcome::Crashed))
             .collect(),
     }];
     let text = render::attack_matrix(&rows);

@@ -133,8 +133,6 @@ pub struct ExecStats {
     pub trials: u64,
     /// Worker threads used.
     pub jobs: usize,
-    /// Chunks the trial range was split into.
-    pub chunks: u64,
     /// Wall-clock time of the whole invocation.
     pub wall: Duration,
     /// CPU time: summed busy time across all workers.
@@ -207,7 +205,6 @@ where
     F: Fn(u64, &mut TrialRng) -> T + Sync,
 {
     let jobs = jobs().min(trials.max(1) as usize).max(1);
-    let chunk = chunk_size(trials, jobs);
     let invocation = telemetry::begin_invocation();
     if invocation.is_some() {
         telemetry::counter("exec_invocations_total", 1);
@@ -227,13 +224,13 @@ where
             stats: ExecStats {
                 trials,
                 jobs: 1,
-                chunks: trials.div_ceil(chunk.max(1)),
                 wall,
                 busy: wall,
             },
         };
     }
 
+    let chunk = chunk_size(trials, jobs);
     let next = AtomicU64::new(0);
     let busy_ns = AtomicU64::new(0);
     let collected: Mutex<Vec<(u64, Vec<T>)>> = Mutex::new(Vec::new());
@@ -268,7 +265,6 @@ where
 
     let mut chunks = collected.into_inner().unwrap_or_else(|e| e.into_inner());
     chunks.sort_unstable_by_key(|&(lo, _)| lo);
-    let chunk_count = chunks.len() as u64;
     let mut results = Vec::with_capacity(trials as usize);
     for (_, mut part) in chunks {
         results.append(&mut part);
@@ -279,7 +275,6 @@ where
         stats: ExecStats {
             trials,
             jobs,
-            chunks: chunk_count,
             wall: start.elapsed(),
             busy: Duration::from_nanos(busy_ns.into_inner()),
         },

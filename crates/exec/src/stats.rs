@@ -91,7 +91,6 @@ mod tests {
         ExecStats {
             trials,
             jobs: 2,
-            chunks: 4,
             wall: Duration::from_millis(100),
             busy: Duration::from_millis(150),
         }

@@ -1,7 +1,8 @@
 //! The qualitative security matrix (paper §2, §6.1, §6.3.1) as assertions:
 //! which scheme stops which attack, and how.
 
-use pacstack::attacks::rop::{run_attack, AttackOutcome, WriteTarget};
+use pacstack::attacks::rop::{run_attack, WriteTarget};
+use pacstack::attacks::victim::AttackOutcome;
 use pacstack::attacks::{gadget, reuse};
 use pacstack::compiler::Scheme;
 
@@ -19,7 +20,7 @@ fn return_address_overwrite_matrix() {
     for (scheme, outcome) in expected {
         assert_eq!(
             run_attack(scheme, WriteTarget::SavedReturnAddress),
-            outcome,
+            Ok(outcome),
             "{scheme} / targeted overwrite"
         );
     }
@@ -39,7 +40,7 @@ fn linear_overflow_matrix() {
     for (scheme, outcome) in expected {
         assert_eq!(
             run_attack(scheme, WriteTarget::LinearOverflow),
-            outcome,
+            Ok(outcome),
             "{scheme} / linear overflow"
         );
     }
@@ -49,12 +50,12 @@ fn linear_overflow_matrix() {
 fn shadow_stack_location_leak_is_fatal_for_scs_only() {
     assert_eq!(
         run_attack(Scheme::ShadowCallStack, WriteTarget::ShadowStackTop),
-        AttackOutcome::Hijacked
+        Ok(AttackOutcome::Hijacked)
     );
     // PACStack has no hidden-location dependence at all.
     assert_eq!(
         run_attack(Scheme::PacStack, WriteTarget::ShadowStackTop),
-        AttackOutcome::Ineffective
+        Ok(AttackOutcome::Ineffective)
     );
 }
 
@@ -62,16 +63,16 @@ fn shadow_stack_location_leak_is_fatal_for_scs_only() {
 fn reuse_separates_pac_ret_from_pacstack() {
     // §2.2.1/Listing 6: the headline motivation for ACS.
     assert_eq!(
-        reuse::run_reuse(Scheme::PacRet, true).outcome,
-        AttackOutcome::Hijacked
+        reuse::run_reuse(Scheme::PacRet, true).map(|r| r.outcome),
+        Ok(AttackOutcome::Hijacked)
     );
     assert_eq!(
-        reuse::run_reuse(Scheme::PacStack, true).outcome,
-        AttackOutcome::Ineffective
+        reuse::run_reuse(Scheme::PacStack, true).map(|r| r.outcome),
+        Ok(AttackOutcome::Ineffective)
     );
     assert_eq!(
-        reuse::run_reuse(Scheme::PacStackNomask, true).outcome,
-        AttackOutcome::Ineffective
+        reuse::run_reuse(Scheme::PacStackNomask, true).map(|r| r.outcome),
+        Ok(AttackOutcome::Ineffective)
     );
 }
 
@@ -80,7 +81,7 @@ fn tail_call_gadget_never_hijacks_pacstack() {
     for scheme in [Scheme::PacStack, Scheme::PacStackNomask] {
         assert_eq!(
             gadget::tail_call_gadget_attack(scheme),
-            AttackOutcome::Crashed,
+            Ok(AttackOutcome::Crashed),
             "{scheme}"
         );
     }

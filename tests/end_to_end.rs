@@ -3,6 +3,7 @@
 
 use pacstack::aarch64::{Cpu, Fault, Instruction, Reg, RunStatus};
 use pacstack::acs::{AcsConfig, AuthenticatedCallStack, Masking};
+use pacstack::attacks::victim;
 use pacstack::compiler::{frame, lower, FuncDef, Module, Scheme, Stmt};
 use pacstack::pauth::{PaKey, PaKeys, PointerAuth, VaLayout};
 use pacstack::qarma::Qarma64;
@@ -106,8 +107,7 @@ fn fpac_mode_turns_corruption_into_immediate_fault() {
     let program = lower(&module, Scheme::PacStack);
     let mut cpu = Cpu::with_seed(program, 3);
     cpu.enable_fpac();
-    let out = cpu.run(100_000).unwrap();
-    assert_eq!(out.status, RunStatus::Syscall(51));
+    victim::run_to(&mut cpu, 51).unwrap();
     let sp = cpu.reg(Reg::Sp);
     cpu.mem_mut()
         .write_u64(sp + frame::CHAIN_SLOT as u64, 0xBAD)

@@ -83,8 +83,8 @@ fn guessing_shape() {
 
 #[test]
 fn attack_matrix_has_no_pacstack_hijacks() {
-    use pacstack::attacks::rop::AttackOutcome;
-    for row in experiments::attack_matrix() {
+    use pacstack::attacks::victim::AttackOutcome;
+    for row in experiments::attack_matrix().unwrap() {
         for (scheme, outcome) in &row.outcomes {
             if *scheme == Scheme::PacStack {
                 assert_ne!(

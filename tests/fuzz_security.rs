@@ -6,7 +6,8 @@
 //! probability 2⁻¹⁶ per attempt; seeds are fixed, so a passing run is
 //! deterministic.
 
-use pacstack::aarch64::{Cpu, Fault, Reg, RunStatus};
+use pacstack::aarch64::{Cpu, Reg};
+use pacstack::attacks::victim::{self, AttackOutcome};
 use pacstack::compiler::{lower, FuncDef, Module, Scheme, Stmt};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -51,10 +52,9 @@ fn victim() -> Module {
 /// One fuzz trial: at the first victim checkpoint, perform `writes` random
 /// 8-byte writes into the live stack area (biased toward pointing at the
 /// gadget), then resume and classify.
-fn fuzz_trial(scheme: Scheme, rng: &mut StdRng, writes: usize) -> &'static str {
+fn fuzz_trial(scheme: Scheme, rng: &mut StdRng, writes: usize) -> AttackOutcome {
     let mut cpu = Cpu::with_seed(lower(&victim(), scheme), rng.gen());
-    let out = cpu.run(1_000_000).expect("reach checkpoint");
-    assert_eq!(out.status, RunStatus::Syscall(VICTIM_CHECKPOINT));
+    victim::run_to(&mut cpu, VICTIM_CHECKPOINT).unwrap();
 
     let gadget = cpu.symbol("gadget").unwrap();
     let sp = cpu.reg(Reg::Sp);
@@ -68,18 +68,7 @@ fn fuzz_trial(scheme: Scheme, rng: &mut StdRng, writes: usize) -> &'static str {
         };
         let _ = cpu.mem_mut().write_u64(sp + offset, value);
     }
-
-    loop {
-        match cpu.run(1_000_000) {
-            Ok(out) => match out.status {
-                RunStatus::Syscall(GADGET_CHECKPOINT) => return "hijacked",
-                RunStatus::Syscall(_) => continue,
-                RunStatus::Exited(_) => return "survived",
-            },
-            Err(Fault::Timeout) => return "survived",
-            Err(_) => return "crashed",
-        }
-    }
+    victim::outcome(&mut cpu, GADGET_CHECKPOINT)
 }
 
 #[test]
@@ -89,8 +78,12 @@ fn pacstack_is_never_hijacked_by_random_writes() {
         let mut crashed = 0;
         for _ in 0..150 {
             let outcome = fuzz_trial(scheme, &mut rng, 3);
-            assert_ne!(outcome, "hijacked", "{scheme} hijacked by random writes");
-            if outcome == "crashed" {
+            assert_ne!(
+                outcome,
+                AttackOutcome::Hijacked,
+                "{scheme} hijacked by random writes"
+            );
+            if outcome == AttackOutcome::Crashed {
                 crashed += 1;
             }
         }
@@ -108,7 +101,7 @@ fn baseline_is_hijacked_often_under_the_same_fuzzing() {
     let mut rng = StdRng::seed_from_u64(0xF022);
     let mut hijacked = 0;
     for _ in 0..150 {
-        if fuzz_trial(Scheme::Baseline, &mut rng, 3) == "hijacked" {
+        if fuzz_trial(Scheme::Baseline, &mut rng, 3) == AttackOutcome::Hijacked {
             hijacked += 1;
         }
     }
@@ -125,6 +118,6 @@ fn shadow_call_stack_survives_main_stack_fuzzing() {
     let mut rng = StdRng::seed_from_u64(0xF023);
     for _ in 0..100 {
         let outcome = fuzz_trial(Scheme::ShadowCallStack, &mut rng, 3);
-        assert_ne!(outcome, "hijacked");
+        assert_ne!(outcome, AttackOutcome::Hijacked);
     }
 }

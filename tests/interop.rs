@@ -3,7 +3,8 @@
 //! functions, and the reverse — must run correctly because CR (X28) is
 //! callee-saved; partial protection still guards the instrumented returns.
 
-use pacstack::aarch64::{Cpu, Fault, Reg, RunStatus};
+use pacstack::aarch64::{Cpu, Reg, RunStatus};
+use pacstack::attacks::victim::{self, AttackOutcome};
 use pacstack::compiler::{frame, lower, lower_mixed, FuncDef, Module, Scheme, Stmt};
 use std::collections::HashMap;
 
@@ -141,20 +142,18 @@ fn protected_library_returns_stay_protected_in_unprotected_app() {
 
     let program = lower_mixed(&m, Scheme::Baseline, &lib_overrides(Scheme::PacStack));
     let mut cpu = Cpu::with_seed(program, 31);
-    let out = cpu.run(1_000_000).unwrap();
-    assert_eq!(out.status, RunStatus::Syscall(42));
+    victim::run_to(&mut cpu, 42).unwrap();
 
-    // Corrupt the protected frame's chain slot: detected, even though the
-    // surrounding application is unprotected.
+    // Corrupt the protected frame's chain slot: detected at lib_parse's
+    // return (main never emits), even though the surrounding application
+    // is unprotected.
     let sp = cpu.reg(Reg::Sp);
     let gadget = cpu.symbol("gadget").unwrap();
     cpu.mem_mut()
         .write_u64(sp + frame::CHAIN_SLOT as u64, gadget)
         .unwrap();
-    match cpu.run(1_000_000) {
-        Err(fault) => assert!(!matches!(fault, Fault::Timeout), "diverged"),
-        Ok(out) => panic!("attack not detected: {out:?}"),
-    }
+    assert_eq!(victim::outcome(&mut cpu, 97), AttackOutcome::Crashed);
+    assert!(cpu.output().is_empty(), "lib_parse's return verified");
 }
 
 #[test]
@@ -186,18 +185,16 @@ fn unprotected_app_frame_remains_attackable() {
     let overrides = HashMap::from([("lib_util".to_owned(), Scheme::PacStack)]);
     let program = lower_mixed(&m, Scheme::Baseline, &overrides);
     let mut cpu = Cpu::with_seed(program, 31);
-    let out = cpu.run(1_000_000).unwrap();
-    assert_eq!(out.status, RunStatus::Syscall(42));
+    victim::run_to(&mut cpu, 42).unwrap();
 
     let sp = cpu.reg(Reg::Sp);
     let gadget = cpu.symbol("gadget").unwrap();
     cpu.mem_mut()
         .write_u64(sp + frame::LR_SLOT as u64, gadget)
         .unwrap();
-    let out = cpu.run(1_000_000).unwrap();
     assert_eq!(
-        out.status,
-        RunStatus::Syscall(97),
+        victim::outcome(&mut cpu, 97),
+        AttackOutcome::Hijacked,
         "unprotected frame should be hijackable"
     );
 }

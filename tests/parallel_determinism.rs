@@ -65,7 +65,9 @@ fn every_repro_table_is_identical_across_job_counts() {
         out.push_str(&render::table3(&experiments::table3(2, 42)));
         out.push_str(&render::birthday(&experiments::birthday(&[6, 8], 15, 7)));
         out.push_str(&render::guessing(&experiments::guessing_costs(&[6], 60)));
-        out.push_str(&render::attack_matrix(&experiments::attack_matrix()));
+        out.push_str(&render::attack_matrix(
+            &experiments::attack_matrix().unwrap(),
+        ));
         out.push_str(&render::ablations(&experiments::ablations()));
         out.push_str(&render::games(&experiments::collision_games(
             &[4, 6],
@@ -115,7 +117,7 @@ fn guessing_and_online_means_are_identical_across_job_counts() {
             pacstack::attacks::guessing::divide_and_conquer(6, 0xBEEF ^ i).total()
         });
         let online = pacstack::attacks::online::mean_attempts(Scheme::PacStack, 3, 8, 0xC0FFEE);
-        (dac.to_bits(), online.to_bits())
+        (dac.to_bits(), online.unwrap().to_bits())
     };
     assert_deterministic("guessing/online means", &[4], means);
 }

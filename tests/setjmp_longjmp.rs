@@ -2,7 +2,8 @@
 //! Listings 4–5): `setjmp`/`longjmp` lowered per scheme, run on the
 //! simulator, and attacked through the (writable) `jmp_buf`.
 
-use pacstack::aarch64::{Cpu, Fault, RunStatus};
+use pacstack::aarch64::{Cpu, RunStatus};
+use pacstack::attacks::victim::{self, AttackOutcome};
 use pacstack::compiler::{jmp_buf_addr, lower, FuncDef, Module, Scheme, Stmt};
 
 /// `main` sets up a handler, calls into a chain that throws from depth 2;
@@ -131,39 +132,18 @@ fn forged_jmp_buf_is_caught_by_pacstack_but_not_baseline() {
         m
     }
 
-    for (scheme, expect_hijack) in [
-        (Scheme::Baseline, true),
-        (Scheme::PacRet, true), // plain setjmp stores a raw pointer
-        (Scheme::PacStackNomask, false),
-        (Scheme::PacStack, false),
+    for (scheme, want) in [
+        (Scheme::Baseline, AttackOutcome::Hijacked),
+        (Scheme::PacRet, AttackOutcome::Hijacked), // plain setjmp stores a raw pointer
+        (Scheme::PacStackNomask, AttackOutcome::Crashed),
+        (Scheme::PacStack, AttackOutcome::Crashed),
     ] {
         let mut cpu = Cpu::with_seed(lower(&module_with_checkpoint(), scheme), 11);
-        let out = cpu.run(10_000_000).unwrap();
-        assert_eq!(out.status, RunStatus::Syscall(70), "{scheme}");
+        victim::run_to(&mut cpu, 70).unwrap();
         let gadget = cpu.symbol("gadget").unwrap();
         cpu.mem_mut().write_u64(jmp_buf_addr(0), gadget).unwrap();
 
-        let mut hijacked = false;
-        let crashed = loop {
-            match cpu.run(10_000_000) {
-                Ok(out) => match out.status {
-                    RunStatus::Syscall(98) => {
-                        hijacked = true;
-                        continue;
-                    }
-                    RunStatus::Syscall(_) => continue,
-                    RunStatus::Exited(_) => break false,
-                },
-                Err(Fault::Timeout) => panic!("{scheme}: diverged"),
-                Err(_) => break true,
-            }
-        };
-        if expect_hijack {
-            assert!(hijacked, "{scheme}: forged jmp_buf should hijack");
-        } else {
-            assert!(crashed, "{scheme}: forged jmp_buf must fault");
-            assert!(!hijacked, "{scheme}: gadget must not run");
-        }
+        assert_eq!(victim::outcome(&mut cpu, 98), want, "{scheme}");
     }
 }
 
